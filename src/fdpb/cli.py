@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -75,6 +76,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_k(parser, args)
+    if args.n_max < 0:
+        parser.error(f"--n-max must be >= 0, got {args.n_max}")
     mode = _lambda_mode(args)
     rows = []
     for n in range(args.n_max + 1):
@@ -92,6 +95,8 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_k(parser, args)
+    if args.n < 0:
+        parser.error(f"--n must be >= 0, got {args.n}")
     mode = _lambda_mode(args)
     value = _family_value(args.family, args.n, args.k, X)
     if args.lam is not None:
@@ -125,17 +130,16 @@ def _format_report(report: identities.Report) -> str:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.suite == "all":
-        reports = identities.check_all(
-            n_max=args.n_max, k_range=(args.k_min, args.k_max), jobs=args.jobs
-        )
-    else:
-        try:
-            reports = [
-                identities.check(args.suite, args.n_max, (args.k_min, args.k_max))
-            ]
-        except identities.UnknownIdentity:
-            parser.error(f"unknown identity suite {args.suite!r}")
+    k_range = (args.k_min, args.k_max)
+    try:
+        if args.suite == "all":
+            reports = identities.check_all(n_max=args.n_max, k_range=k_range)
+        else:
+            reports = [identities.check(args.suite, args.n_max, k_range)]
+    except identities.UnknownIdentity:
+        parser.error(f"unknown identity suite {args.suite!r}")
+    except identities.EmptyRange as exc:
+        parser.error(str(exc))
     if args.format == "json":
         sys.stdout.write(identities.reports_to_json(reports) + "\n")
     else:
@@ -182,16 +186,31 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", type=int, default=12)
     verify.add_argument("--k-min", type=int, default=-3)
     verify.add_argument("--k-max", type=int, default=3)
-    verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
+def _attach_negative_lambda(argv: Sequence[str]) -> list[str]:
+    """Rewrite "--lambda -1/2" as "--lambda=-1/2".
+
+    argparse reads a token that starts with "-" as an option unless it is
+    a plain negative decimal, so a negative fraction needs the "=" form.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--lambda" and re.match(r"-\.?\d", token):
+            out[-1] = f"--lambda={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_lambda(argv))
     return args.func(parser, args)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .ring import ONE, ZERO, BiPoly, RatLike
+from .ring import ONE, ZERO, BiPoly, RatLike, sum_of_products
 
 
 class SeriesError(Exception):
@@ -116,16 +116,11 @@ class Series:
         if not isinstance(other, Series):
             c = _coerce_poly(other)
             return Series([a * c for a in self._coeffs])
-        n = min(self.order, other.order)
-        out = []
-        for m in range(n + 1):
-            acc = ZERO
-            for i in range(m + 1):
-                a, b = self._coeffs[i], other._coeffs[m - i]
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out.append(acc)
-        return Series(out)
+        a, b = self._coeffs, other._coeffs
+        return Series([
+            sum_of_products((a[i], b[m - i]) for i in range(m + 1))
+            for m in range(min(self.order, other.order) + 1)
+        ])
 
     __rmul__ = __mul__
 
@@ -158,10 +153,7 @@ def series_div(f: Series, g: Series) -> Series:
     gs = g.coeffs[v:]
     q: list[BiPoly] = []
     for m in range(n + 1):
-        acc = fs[m]
-        for i in range(m):
-            if not (q[i].is_zero() or gs[m - i].is_zero()):
-                acc = acc - q[i] * gs[m - i]
+        acc = fs[m] - sum_of_products((q[i], gs[m - i]) for i in range(m))
         q.append(acc * lead_inv)
     return Series(q)
 

@@ -10,7 +10,6 @@ polynomial identity down completely.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -20,12 +19,25 @@ from typing import Iterator, Optional
 
 from . import families as fam
 from . import fps, umbral
-from .ring import LAM, ONE, X, ZERO, BiPoly, canonical_string, falling_product
+from .ring import (
+    LAM,
+    ONE,
+    X,
+    ZERO,
+    BiPoly,
+    canonical_string,
+    falling_product,
+    sum_of_products,
+)
 from .sequences import bernoulli_second_kind, gen_falling, stirling1, stirling2
 
 
 class UnknownIdentity(Exception):
     pass
+
+
+class EmptyRange(ValueError):
+    """The requested (n, k) box leaves an identity nothing to check."""
 
 
 class IdentityId(Enum):
@@ -112,48 +124,24 @@ def _shift_power(y: BiPoly, b: int) -> BiPoly:
 
 def _shifted(p: BiPoly, y: BiPoly) -> BiPoly:
     """p(x + y), with the powers of (x + y) cached across calls."""
-    acc: dict[tuple[int, int], Fraction] = {}
-    for (ld, xd), c in p.items():
-        for (l2, x2), c2 in _shift_power(y, xd).items():
-            key = (ld + l2, x2)
-            prev = acc.get(key)
-            prod = c * c2
-            acc[key] = prod if prev is None else prev + prod
-    return BiPoly(acc)
-
-
-@lru_cache(maxsize=None)
-def _binomial_convolution(d: int, y: BiPoly) -> BiPoly:
-    """sum_j C(d, j) (y|L)_j (x|L)_{d-j}, shared by every k at a fixed probe."""
-    out = ZERO
-    for j in range(d + 1):
-        out = out + comb(d, j) * falling_product(y, j) * gen_falling(X, d - j)
-    return out
+    return sum_of_products(
+        (p.x_coeff(d), _shift_power(y, d)) for d in range(p.x_degree() + 1)
+    )
 
 
 def _cells_thm1_addition(n_max: int, ks: range) -> Iterator[Cell]:
     for k in ks:
-        betas = [fam.fdpb_closed(m, k) for m in range(n_max + 1)]
         for n in range(n_max + 1):
             poly = fam.fdpb_poly(n, k)
             # degree in the shift variable is at most n, so n + 2 probe
             # points prove the identity for symbolic y
             for y in _probe_values(n + 2):
-                lhs = _shifted(poly, y)
-                # the theorem's right side, with each basis polynomial
-                # expanded through its own falling-factorial form so the
-                # k-independent double sums can be cached across k
-                acc: dict[tuple[int, int], Fraction] = {}
-                for m in range(n + 1):
-                    weighted = betas[m] * comb(n, m)
-                    conv = _binomial_convolution(n - m, y)
-                    for (la, _), ca in weighted.items():
-                        for (lb, xb), cb in conv.items():
-                            key = (la + lb, xb)
-                            prev = acc.get(key)
-                            prod = ca * cb
-                            acc[key] = prod if prev is None else prev + prod
-                yield n, k, lhs, BiPoly(acc)
+                # the theorem's right side, sum_m C(n, m) beta_m(x) (y|L)_{n-m}
+                rhs = sum_of_products(
+                    (fam.fdpb_poly(m, k), falling_product(y, n - m) * comb(n, m))
+                    for m in range(n + 1)
+                )
+                yield n, k, _shifted(poly, y), rhs
 
 
 def _cells_thm1_limit(n_max: int, ks: range) -> Iterator[Cell]:
@@ -361,17 +349,26 @@ def check(
     n_max: int = 12,
     k_range: tuple[int, int] = (-3, 3),
 ) -> Report:
-    """Verify one identity over the requested (n, k) box."""
+    """Verify one identity over the requested (n, k) box.
+
+    Raises EmptyRange when the box is empty or holds no cell of this
+    identity, so that no report can pass having checked nothing.
+    """
     identity = _coerce_identity(identity)
     k_min, k_max = k_range
-    ks = range(k_min, k_max + 1)
+    if n_max < 0 or k_min > k_max:
+        raise EmptyRange(f"empty box: n <= {n_max}, k in [{k_min}, {k_max}]")
     counterexample = None
-    for n, k, lhs, rhs in _CHECKERS[identity](n_max, ks):
+    cells = 0
+    for n, k, lhs, rhs in _CHECKERS[identity](n_max, range(k_min, k_max + 1)):
+        cells += 1
         lhs = lhs if isinstance(lhs, BiPoly) else BiPoly.const(lhs)
         rhs = rhs if isinstance(rhs, BiPoly) else BiPoly.const(rhs)
         if lhs != rhs:
             counterexample = Counterexample(n=n, k=k, lhs=lhs, rhs=rhs)
             break
+    if not cells:
+        raise EmptyRange(f"{identity.value} has no cells to check at n <= {n_max}")
     return Report(
         identity=identity,
         n_max=n_max,
@@ -385,16 +382,9 @@ def check(
 def check_all(
     n_max: int = 12,
     k_range: tuple[int, int] = (-3, 3),
-    jobs: int = 1,
 ) -> list[Report]:
     """Run every identity; reports come back in declaration order."""
-    identities = list(IdentityId)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(
-                pool.map(lambda ident: check(ident, n_max, k_range), identities)
-            )
-    return [check(ident, n_max, k_range) for ident in identities]
+    return [check(ident, n_max, k_range) for ident in IdentityId]
 
 
 def reports_to_json(reports: list[Report]) -> str:

@@ -42,6 +42,10 @@ class TestTable:
             == 2
         )
 
+    def test_negative_n_max_is_usage_error(self):
+        argv = ("table", "--family", "bernoulli", "--n-max", "-1")
+        assert run_expect_usage_error(*argv) == 2
+
     def test_lambda_substitution(self, capsys):
         code, out = run(
             capsys, "table", "--family", "carlitz", "--n-max", "1",
@@ -98,6 +102,20 @@ class TestPoly:
         assert code == 0
         assert out == "1\n"
 
+    def test_negative_n_is_usage_error(self):
+        argv = ("poly", "--family", "fdpb", "--k", "1", "--n", "-1")
+        assert run_expect_usage_error(*argv) == 2
+
+    @pytest.mark.parametrize("cmd", ["poly", "table"])
+    def test_negative_lambda_as_separate_token(self, capsys, cmd):
+        size = "--n" if cmd == "poly" else "--n-max"
+        base = (cmd, "--family", "carlitz", size, "3")
+        code_sep, sep = run(capsys, *base, "--lambda", "-1/2")
+        code_eq, eq = run(capsys, *base, "--lambda=-1/2")
+        assert code_sep == code_eq == 0
+        assert sep == eq
+        assert sep != run(capsys, *base, "--lambda=1/2")[1]
+
     def test_json_record(self, capsys):
         code, out = run(
             capsys, "poly", "--family", "fdpb", "--k", "-1", "--n", "2",
@@ -126,6 +144,22 @@ class TestVerify:
         )
         assert code == 0
         assert len(out.splitlines()) == 15
+
+    def test_negative_n_max_is_usage_error(self):
+        assert run_expect_usage_error("verify", "--n-max", "-2") == 2
+
+    def test_empty_k_range_is_usage_error(self):
+        assert (
+            run_expect_usage_error(
+                "verify", "--k-min", "3", "--k-max", "-3", "--suite", "THM4_CLOSED"
+            )
+            == 2
+        )
+
+    def test_identity_without_cells_is_usage_error(self):
+        # THM2 starts at n = 1, so n <= 0 leaves it nothing to check
+        argv = ("verify", "--suite", "THM2_DIFFERENCE", "--n-max", "0")
+        assert run_expect_usage_error(*argv) == 2
 
     def test_json_format(self, capsys):
         code, out = run(

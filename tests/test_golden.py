@@ -1,0 +1,47 @@
+"""Byte-exact CLI outputs pinned by a golden file.
+
+``golden_cli.json`` maps each command line below to the stdout it printed
+under the Fraction-dict ring, before the integer-numerator ring replaced
+it.  Changes to the arithmetic core must leave every byte as it is.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from fdpb.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+K_OF = {"polybernoulli": (-2, 3), "fdpb": (-2, 3)}
+
+
+def _commands() -> list[tuple[str, ...]]:
+    out = []
+    for family in ("bernoulli", "carlitz", "daehee", "polybernoulli", "fdpb"):
+        for k in K_OF.get(family, (None,)):
+            k_args = () if k is None else ("--k", str(k))
+            for lam in ("--symbolic", "--lambda=3"):
+                out.append(("table", "--family", family, *k_args, "--n-max", "8", lam))
+    for family in ("fdpb", "polybernoulli"):
+        for n, k in ((0, 1), (3, 1), (5, -2), (6, 3), (8, 2)):
+            out.append(("poly", "--family", family, "--k", str(k), "--n", str(n)))
+    out.append(("poly", "--family", "fdpb", "--k", "2", "--n", "6", "--lambda=-1/2"))
+    out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
+    return out
+
+
+COMMANDS = _commands()
+
+
+def test_golden_covers_every_command():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(" ".join(c) for c in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_golden_bytes(capsys, argv):
+    expected = json.loads(GOLDEN.read_text())[" ".join(argv)]
+    code = main(list(argv))
+    assert code == 0
+    assert capsys.readouterr().out == expected

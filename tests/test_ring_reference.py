@@ -1,0 +1,157 @@
+"""The integer-numerator ring against the Fraction-dict reference model.
+
+Each test builds the same polynomials in ``fdpb.ring`` and in
+``ring_reference`` and requires every operation to give the same
+coefficients, and the same rendered bytes.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ring_reference as ref
+from fdpb.ring import LAM, ONE, X, BiPoly, canonical_string, parse_poly, sum_of_products
+
+coefficients = st.builds(
+    Fraction,
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=1, max_value=12),
+)
+term_lists = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        coefficients,
+    ),
+    max_size=6,
+)
+nonzero_scalars = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    coefficients.filter(bool),
+)
+scalars = st.one_of(st.integers(-9, 9), coefficients)
+
+
+def both(items):
+    """The same polynomial in the production ring and in the reference."""
+    terms = dict(items)
+    return BiPoly(terms), ref.BiPoly(terms)
+
+
+def assert_canonical(p: BiPoly):
+    assert p._den > 0
+    assert all(c != 0 and isinstance(c, int) for c in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+
+
+def assert_same(p: BiPoly, r: ref.BiPoly):
+    assert_canonical(p)
+    assert p.terms == r.terms
+    assert canonical_string(p) == ref.canonical_string(r)
+
+
+polys = term_lists.map(both)
+
+
+class TestArithmetic:
+    @given(polys, polys)
+    @settings(max_examples=150, deadline=None)
+    def test_add_sub_mul(self, a, b):
+        (pa, ra), (pb, rb) = a, b
+        assert_same(pa, ra)
+        assert_same(pa + pb, ra + rb)
+        assert_same(pa - pb, ra - rb)
+        assert_same(pa * pb, ra * rb)
+        assert_same(-pa, -ra)
+
+    @given(polys, scalars, nonzero_scalars)
+    @settings(max_examples=100, deadline=None)
+    def test_scalars(self, a, c, d):
+        p, r = a
+        assert_same(p * c, r * c)
+        assert_same(c * p, c * r)
+        assert_same(p / d, r / d)
+        assert_same(p + c, r + c)
+        assert_same(c - p, c - r)
+
+    @given(st.lists(st.tuples(polys, polys), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_sum_of_products(self, pairs):
+        expected = ref.ZERO
+        for (_, ra), (_, rb) in pairs:
+            expected = expected + ra * rb
+        assert_same(sum_of_products((pa, pb) for (pa, _), (pb, _) in pairs), expected)
+
+
+class TestStructural:
+    @given(polys, polys)
+    @settings(max_examples=100, deadline=None)
+    def test_subst_x(self, a, b):
+        (pa, ra), (pb, rb) = a, b
+        assert_same(pa.subst_x(pb), ra.subst_x(rb))
+        assert_same(pa.subst_x(X + LAM), ra.subst_x(ref.X + ref.LAM))
+
+    @given(polys, st.one_of(st.none(), scalars), st.one_of(st.none(), scalars))
+    @settings(max_examples=100, deadline=None)
+    def test_eval_at(self, a, lam, x):
+        p, r = a
+        assert_same(p.eval_at(lam=lam, x=x), r.eval_at(lam=lam, x=x))
+
+    @given(polys)
+    @settings(max_examples=100, deadline=None)
+    def test_calculus_and_coefficients(self, a):
+        p, r = a
+        assert_same(p.derivative_x(), r.derivative_x())
+        assert_same(p.integrate_x_unit(), r.integrate_x_unit())
+        for d in range(5):
+            assert_same(p.x_coeff(d), r.x_coeff(d))
+            assert p.coeff(1, d) == r.coeff(1, d)
+        assert len(p.items()) == len(r.items())
+        assert dict(p.items()) == dict(r.items())
+
+    @given(polys)
+    @settings(max_examples=100, deadline=None)
+    def test_div_exact_lambda(self, a):
+        p, r = a
+        assert_same((p * LAM).div_exact_lambda(), (r * ref.LAM).div_exact_lambda())
+        if not p.is_zero() and any(ld == 0 for ld, _ in p.terms):
+            with pytest.raises(ValueError):
+                p.div_exact_lambda()
+
+    @given(polys)
+    @settings(max_examples=100, deadline=None)
+    def test_parse_round_trip(self, a):
+        p, r = a
+        text = canonical_string(p)
+        assert_same(parse_poly(text), ref.parse_poly(text))
+        assert parse_poly(text) == p
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (BiPoly({(0, 0): Fraction(2, 4)}), BiPoly.const(Fraction(1, 2))),
+            (X / 2 + X / 2, X),
+            ((X * 3 + LAM * 6) / 3, X + LAM * 2),
+            (BiPoly({(1, 1): Fraction(4, 6), (0, 0): 0}), LAM * X * Fraction(2, 3)),
+            (X * X - X * X, BiPoly()),
+            (ONE * 7 / 7, ONE),
+        ],
+    )
+    def test_equal_values_by_different_routes(self, first, second):
+        assert_canonical(first)
+        assert_canonical(second)
+        assert first == second
+        assert hash(first) == hash(second)
+
+    @given(polys, polys)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_sums_share_hash(self, a, b):
+        (pa, _), (pb, _) = a, b
+        left = (pa + pb) * pb
+        right = pa * pb + pb * pb
+        assert left == right
+        assert hash(left) == hash(right)
