@@ -53,6 +53,8 @@ def _family_value(family: str, n: int, k: Optional[int], arg: BiPoly | Fraction 
 def _check_k(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if args.family in POLY_FAMILIES and args.k is None:
         parser.error(f"--k is required for family {args.family!r}")
+    if args.family not in POLY_FAMILIES and args.k is not None:
+        parser.error(f"--k does not apply to family {args.family!r}")
 
 
 def _lambda_mode(args: argparse.Namespace) -> str:

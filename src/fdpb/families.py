@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import fps
-from .ring import LAM, ONE, X, ZERO, BiPoly, RatLike, falling_product
+from .ring import LAM, ONE, X, ZERO, BiPoly, RatLike, falling_product, sum_of_products
 from .sequences import bernoulli_second_kind, stirling1, stirling2
 
 ArgLike = BiPoly | RatLike
@@ -119,21 +119,29 @@ def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
 
 
 @lru_cache(maxsize=None)
+def _kaneko(l: int, k: int) -> tuple[int, int]:
+    """Kaneko's poly-Bernoulli number B_l^(k) as (numerator, denominator).
+
+    B_l^(k) = sum_m (-1)^(m+l) m! S2(l, m) (m+1)^(-k).  For k > 0 every
+    term is put over lcm(1..l+1)^k; for k <= 0 the value is an integer.
+    """
+    top = lcm(*range(1, l + 2)) if k > 0 else 1
+    num = 0
+    for m in range(l + 1):
+        power = (top // (m + 1)) ** k if k > 0 else (m + 1) ** -k
+        num += (-1) ** (m + l) * factorial(m) * stirling2(l, m) * power
+    return num, (top**k if k > 0 else 1)
+
+
+@lru_cache(maxsize=None)
 def fdpb_closed(n: int, k: int) -> BiPoly:
-    """Fully degenerate poly-Bernoulli number as the double Stirling sum."""
-    out = ZERO
-    for l in range(n + 1):
-        s1 = stirling1(n, l)
-        if s1 == 0:
-            continue
-        acc = Fraction(0)
-        for m in range(l + 1):
-            acc += (
-                Fraction((-1) ** (m + l) * factorial(m) * stirling2(l, m))
-                * Fraction(m + 1) ** (-k)
-            )
-        out = out + BiPoly({(n - l, 0): acc * s1})
-    return out
+    """Fully degenerate poly-Bernoulli number, sum_l S1(n, l) L^(n-l) B_l^(k)."""
+    weights = [_kaneko(l, k) for l in range(n + 1)]
+    den = lcm(*(d for _, d in weights))
+    num = {
+        (n - l, 0): stirling1(n, l) * c * (den // d) for l, (c, d) in enumerate(weights)
+    }
+    return BiPoly._make(num, den)
 
 
 def fdpb_negative_closed(n: int, k: int) -> BiPoly:
@@ -156,10 +164,10 @@ def fdpb_negative_closed(n: int, k: int) -> BiPoly:
 @lru_cache(maxsize=None)
 def fdpb_poly(n: int, k: int) -> BiPoly:
     """The degree-n polynomial, via the binomial/falling-factorial expansion."""
-    out = ZERO
-    for l in range(n + 1):
-        out = out + comb(n, l) * falling_product(X, n - l) * fdpb_closed(l, k)
-    return out
+    return sum_of_products(
+        (falling_product(X, n - l), fdpb_closed(l, k) * comb(n, l))
+        for l in range(n + 1)
+    )
 
 
 def fdpb_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
@@ -195,25 +203,36 @@ def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:
 
 
 def fdpb_x_derivative(n: int, k: int) -> BiPoly:
-    """d/dx of the degree-n polynomial, by omit-one-factor products."""
-    out = ZERO
-    for l in range(n + 1):
-        d = n - l
-        if d == 0:
-            continue
-        inner = ZERO
-        for j in range(d):
-            prod = ONE
-            for i in range(d):
-                if i != j:
-                    prod = prod * (X - LAM * i)
-            inner = inner + prod
-        out = out + comb(n, l) * fdpb_closed(l, k) * inner
-    return out
+    """d/dx of the degree-n polynomial, by omit-one-factor products.
+
+    d/dx (x|L)_d = sum_{j<d} P_j S_{d,j}, where P_j = (x|L)_j is the prefix
+    product of the factors (x - L i) and S_{d,j} = prod_{j<i<d} (x - L i)
+    the suffix product.  With w_d = C(n, d) beta_{n-d}, the suffix side
+    T_j = sum_{d>j} w_d S_{d,j} obeys T_j = w_{j+1} + (x - L(j+1)) T_{j+1},
+    so the derivative is sum_j P_j T_j, assembled with one sum_of_products.
+    """
+    pairs = []
+    suffix = ZERO
+    for j in range(n - 1, -1, -1):
+        weight = fdpb_closed(n - j - 1, k) * comb(n, j + 1)
+        suffix = weight + (X - LAM * (j + 1)) * suffix
+        pairs.append((falling_product(X, j), suffix))
+    return sum_of_products(pairs)
 
 
 def _lambda_pow(c: Fraction | int, deg: int) -> BiPoly:
     return BiPoly({(deg, 0): c})
+
+
+def _falling_integral(n: int, d: int) -> BiPoly:
+    """C(n, d) times the integral of (x|L)_d over [0, 1], through b_j."""
+    return sum_of_products(
+        (
+            _lambda_pow(comb(n, d) * comb(d, m) * bernoulli_second_kind(d - m), d - m),
+            falling_product(ONE, m + 1) / (m + 1),
+        )
+        for m in range(d + 1)
+    )
 
 
 def integral_unit_interval(n: int, k: int, reading: str = "theorem") -> BiPoly:
@@ -226,34 +245,13 @@ def integral_unit_interval(n: int, k: int, reading: str = "theorem") -> BiPoly:
     the outer summation index and agree identically.
     """
     direct = fdpb_poly(n, k).integrate_x_unit()
-    total = ZERO
     if reading == "theorem":
-        for l in range(n + 1):
-            beta = fdpb_closed(n - l, k)
-            for m in range(l + 1):
-                term = (
-                    comb(l, m)
-                    * comb(n, l)
-                    * _lambda_pow(bernoulli_second_kind(l - m), l - m)
-                    * falling_product(ONE, m + 1)
-                    / (m + 1)
-                )
-                total = total + term * beta
+        pairs = ((_falling_integral(n, l), fdpb_closed(n - l, k)) for l in range(n + 1))
     elif reading == "expansion":
-        for l in range(n + 1):
-            beta = fdpb_closed(l, k)
-            d = n - l
-            for m in range(d + 1):
-                term = (
-                    comb(d, m)
-                    * comb(n, l)
-                    * _lambda_pow(bernoulli_second_kind(d - m), d - m)
-                    * falling_product(ONE, m + 1)
-                    / (m + 1)
-                )
-                total = total + term * beta
+        pairs = ((fdpb_closed(l, k), _falling_integral(n, n - l)) for l in range(n + 1))
     else:
         raise ValueError(f"unknown reading {reading!r}")
+    total = sum_of_products(pairs)
     if direct != total:
         raise RouteMismatch(
             f"unit-interval integral routes disagree at n={n}, k={k}", direct, total

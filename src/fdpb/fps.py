@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .ring import ONE, ZERO, BiPoly, RatLike, sum_of_products
+from .ring import ONE, ZERO, BiPoly, RatLike, _pack, _sum_packed
 
 
 class SeriesError(Exception):
@@ -116,10 +116,11 @@ class Series:
         if not isinstance(other, Series):
             c = _coerce_poly(other)
             return Series([a * c for a in self._coeffs])
-        a, b = self._coeffs, other._coeffs
+        n = min(self.order, other.order)
+        a = [_pack(c) for c in self._coeffs[: n + 1]]
+        b = [_pack(c) for c in other._coeffs[: n + 1]]
         return Series([
-            sum_of_products((a[i], b[m - i]) for i in range(m + 1))
-            for m in range(min(self.order, other.order) + 1)
+            _sum_packed([(a[i], b[m - i]) for i in range(m + 1)]) for m in range(n + 1)
         ])
 
     __rmul__ = __mul__
@@ -150,11 +151,13 @@ def series_div(f: Series, g: Series) -> Series:
     n = min(f.order, g.order) - v
     lead_inv = Fraction(1) / lead.constant()
     fs = f.coeffs[v:]
-    gs = g.coeffs[v:]
+    gs = [_pack(c) for c in g.coeffs[v : v + n + 1]]
     q: list[BiPoly] = []
+    packed_q = []
     for m in range(n + 1):
-        acc = fs[m] - sum_of_products((q[i], gs[m - i]) for i in range(m))
+        acc = fs[m] - _sum_packed([(packed_q[i], gs[m - i]) for i in range(m)])
         q.append(acc * lead_inv)
+        packed_q.append(_pack(q[-1]))
     return Series(q)
 
 

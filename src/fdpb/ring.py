@@ -12,7 +12,9 @@ kept canonical (no zero numerators, and the gcd of the denominator and
 every numerator is 1), so structural equality and hashing are exact.
 Each operation works in integers and normalises its result once, with a
 single gcd; :func:`sum_of_products` does the same for a whole sum of
-products, which is the inner loop of series multiplication and division.
+products.  Series multiplication and division, where such sums are the
+inner loop, pack each coefficient once (``_pack``) and sum the packed
+pairs (``_sum_packed``).
 Coefficients are handed out as ``Fraction``.
 
 Values are immutable after construction and safe to share.
@@ -288,28 +290,48 @@ def _scaled_powers(value: Fraction, top: int) -> tuple[list[int], int]:
     return [p_pow[d] * q_pow[top - d] for d in range(top + 1)], q_pow[top]
 
 
+Packed = tuple[list[tuple[int, int]], int]
+
+
+def _pack(p: BiPoly) -> Packed:
+    """p's (packed key, numerator) pairs and its denominator, for _accumulate."""
+    return [((l << _XBITS) | x, c) for (l, x), c in p._num.items()], p._den
+
+
+def _accumulate(pairs: Iterable[tuple[Packed, Packed]], den: int) -> BiPoly:
+    """The sum of a * b over packed pairs, over den (a multiple of each da * db)."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for (ta, da), (tb, db) in pairs:
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        scale = den // (da * db)
+        for ka, ca in ta:
+            ca *= scale
+            for kb, cb in tb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    return BiPoly._make({(k >> _XBITS, k & _XMASK): c for k, c in acc.items()}, den)
+
+
+def _sum_packed(pairs: list[tuple[Packed, Packed]]) -> BiPoly:
+    """The sum of a * b over pairs of packed polynomials, normalised once."""
+    den = lcm(*(da * db for (ta, da), (tb, db) in pairs if ta and tb))
+    return _accumulate(pairs, den)
+
+
 def sum_of_products(pairs: Iterable[tuple[BiPoly, BiPoly]]) -> BiPoly:
     """The sum of a * b over the pairs, normalised once.
 
     Every product is accumulated in integers over the lcm of the products'
-    denominators, so the whole sum costs one gcd, not one per term.
+    denominators, so the whole sum costs one gcd, not one per term.  Each
+    factor is packed only while its product is summed; series code, which
+    reuses every coefficient in many sums, packs them once and calls
+    _sum_packed.
     """
     pairs = [(a, b) for a, b in pairs if a._num and b._num]
     den = lcm(*(a._den * b._den for a, b in pairs))
-    acc: dict[int, int] = {}
-    get = acc.get
-    for a, b in pairs:
-        if len(a._num) > len(b._num):
-            a, b = b, a
-        scale = den // (a._den * b._den)
-        inner = [((lb << _XBITS) | xb, cb) for (lb, xb), cb in b._num.items()]
-        for (la, xa), ca in a._num.items():
-            ka = (la << _XBITS) | xa
-            ca *= scale
-            for kb, cb in inner:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-    return BiPoly._make({(k >> _XBITS, k & _XMASK): c for k, c in acc.items()}, den)
+    return _accumulate(((_pack(a), _pack(b)) for a, b in pairs), den)
 
 
 ZERO = BiPoly()

@@ -1,0 +1,59 @@
+"""Reference model of the fdpb closed-sum route: scalar ``Fraction`` loops.
+
+These are the bodies ``fdpb.families`` used before the closed sum moved to
+integer numerators with a memoised Kaneko weight B_l^(k).  Each weight is
+recomputed for every n, one ``Fraction`` term at a time, so they are slow
+but plainly the paper's formulas; the tests compare the production routes
+against them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
+
+from fdpb.ring import LAM, ONE, X, ZERO, BiPoly, falling_product
+from fdpb.sequences import stirling1, stirling2
+
+
+def fdpb_closed(n: int, k: int) -> BiPoly:
+    """sum_l S1(n, l) L^(n-l) sum_m (-1)^(m+l) m! S2(l, m) (m+1)^(-k)."""
+    out = ZERO
+    for l in range(n + 1):
+        s1 = stirling1(n, l)
+        if s1 == 0:
+            continue
+        acc = Fraction(0)
+        for m in range(l + 1):
+            acc += (
+                Fraction((-1) ** (m + l) * factorial(m) * stirling2(l, m))
+                * Fraction(m + 1) ** (-k)
+            )
+        out = out + BiPoly({(n - l, 0): acc * s1})
+    return out
+
+
+def fdpb_poly(n: int, k: int) -> BiPoly:
+    """sum_l C(n, l) beta_l (x|L)_(n-l), one term added at a time."""
+    out = ZERO
+    for l in range(n + 1):
+        out = out + comb(n, l) * falling_product(X, n - l) * fdpb_closed(l, k)
+    return out
+
+
+def fdpb_x_derivative(n: int, k: int) -> BiPoly:
+    """d/dx of fdpb_poly, each omit-one-factor product built from scratch."""
+    out = ZERO
+    for l in range(n + 1):
+        d = n - l
+        if d == 0:
+            continue
+        inner = ZERO
+        for j in range(d):
+            prod = ONE
+            for i in range(d):
+                if i != j:
+                    prod = prod * (X - LAM * i)
+            inner = inner + prod
+        out = out + comb(n, l) * fdpb_closed(l, k) * inner
+    return out

@@ -34,6 +34,16 @@ class TestTable:
     def test_missing_k_is_usage_error(self):
         assert run_expect_usage_error("table", "--family", "fdpb", "--n-max", "3") == 2
 
+    @pytest.mark.parametrize("cmd", ["table", "poly"])
+    @pytest.mark.parametrize("family", ["bernoulli", "carlitz", "daehee"])
+    def test_k_on_k_free_family_is_usage_error(self, capsys, cmd, family):
+        size = "--n-max" if cmd == "table" else "--n"
+        argv = (cmd, "--family", family, "--k", "5", size, "2")
+        assert run_expect_usage_error(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k does not apply" in captured.err
+
     def test_malformed_rational_is_usage_error(self):
         assert (
             run_expect_usage_error(

@@ -2,7 +2,9 @@
 
 ``golden_cli.json`` maps each command line below to the stdout it printed
 under the Fraction-dict ring, before the integer-numerator ring replaced
-it.  Changes to the arithmetic core must leave every byte as it is.
+it; the two large-n fdpb commands were captured under the scalar
+``Fraction`` closed sum, before the integer closed-sum route replaced it.
+Changes to the arithmetic core must leave every byte as it is.
 """
 
 import json
@@ -28,6 +30,11 @@ def _commands() -> list[tuple[str, ...]]:
         for n, k in ((0, 1), (3, 1), (5, -2), (6, 3), (8, 2)):
             out.append(("poly", "--family", family, "--k", str(k), "--n", str(n)))
     out.append(("poly", "--family", "fdpb", "--k", "2", "--n", "6", "--lambda=-1/2"))
+    # large n, so the lcm(1..l+1)^k denominators of the closed sum show
+    out.append(
+        ("table", "--family", "fdpb", "--k", "-3", "--n-max", "40", "--lambda=-1/2")
+    )
+    out.append(("poly", "--family", "fdpb", "--k", "3", "--n", "24", "--symbolic"))
     out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
     return out
 
