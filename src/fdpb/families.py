@@ -24,7 +24,9 @@ from math import comb, factorial, lcm
 
 from . import fps
 from .ring import LAM, ONE, X, ZERO, BiPoly, RatLike, falling_product, sum_of_products
-from .sequences import bernoulli_second_kind, stirling1, stirling2
+from .sequences import (
+    bernoulli_second_kind, bernoulli_series, stirling1, stirling2, work_order
+)
 
 ArgLike = BiPoly | RatLike
 
@@ -44,21 +46,14 @@ def _as_arg(arg: ArgLike) -> BiPoly:
     return BiPoly.const(arg)
 
 
-def _work_order(n: int) -> int:
-    # n + 2 guard coefficients, rounded up so series caches are shared
-    return ((n + 2 + 7) // 8) * 8
-
-
 @lru_cache(maxsize=None)
 def _bernoulli_series(order: int, arg: BiPoly) -> fps.Series:
-    t = fps.Series.t(order)
-    denom = fps.series_exp(t) - fps.Series.constant(ONE, order)
-    return fps.series_div(t, denom) * fps.exp_t(arg, order)
+    return bernoulli_series(order) * fps.exp_t(arg, order)
 
 
 def bernoulli_poly(n: int, arg: ArgLike = X) -> BiPoly:
     """Bernoulli polynomial B_n, or its value at a rational argument."""
-    return fps.egf_coeff(_bernoulli_series(_work_order(n), _as_arg(arg)), n)
+    return fps.egf_coeff(_bernoulli_series(work_order(n), _as_arg(arg)), n)
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +65,7 @@ def _carlitz_series(order: int, arg: BiPoly) -> fps.Series:
 
 def carlitz_beta(n: int, arg: ArgLike = 0) -> BiPoly:
     """Carlitz degenerate Bernoulli number/polynomial of index n."""
-    return fps.egf_coeff(_carlitz_series(_work_order(n), _as_arg(arg)), n)
+    return fps.egf_coeff(_carlitz_series(work_order(n), _as_arg(arg)), n)
 
 
 @lru_cache(maxsize=None)
@@ -82,18 +77,13 @@ def _daehee_series(order: int, arg: BiPoly) -> fps.Series:
 
 def daehee_type_b(n: int, arg: ArgLike = 0) -> BiPoly:
     """Degenerate Bernoulli number/polynomial with the log numerator."""
-    return fps.egf_coeff(_daehee_series(_work_order(n), _as_arg(arg)), n)
+    return fps.egf_coeff(_daehee_series(work_order(n), _as_arg(arg)), n)
 
 
 def _polylog_over_z(k: int, z: fps.Series) -> fps.Series:
     # Li_k(z)/z = sum_{m>=0} z^m / (m+1)^k, which avoids a division
-    order = z.order
-    out = fps.Series.constant(ZERO, order)
-    power = fps.Series.constant(ONE, order)
-    for m in range(order + 1):
-        out = out + power * (Fraction(m + 1) ** (-k))
-        power = power * z
-    return out
+    terms = [Fraction(m + 1) ** -k for m in range(z.order + 1)]
+    return fps.series_compose(fps.Series(terms), z)
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +94,7 @@ def _poly_bernoulli_series(k: int, order: int, arg: BiPoly) -> fps.Series:
 
 def classical_poly_bernoulli(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     """Classical poly-Bernoulli number/polynomial (no L involved)."""
-    return fps.egf_coeff(_poly_bernoulli_series(k, _work_order(n), _as_arg(arg)), n)
+    return fps.egf_coeff(_poly_bernoulli_series(k, work_order(n), _as_arg(arg)), n)
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +105,7 @@ def _fdpb_series(k: int, order: int, arg: BiPoly) -> fps.Series:
 
 def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     """Fully degenerate poly-Bernoulli value via the generating function."""
-    return fps.egf_coeff(_fdpb_series(k, _work_order(n), _as_arg(arg)), n)
+    return fps.egf_coeff(_fdpb_series(k, work_order(n), _as_arg(arg)), n)
 
 
 @lru_cache(maxsize=None)
@@ -220,15 +210,12 @@ def fdpb_x_derivative(n: int, k: int) -> BiPoly:
     return sum_of_products(pairs)
 
 
-def _lambda_pow(c: Fraction | int, deg: int) -> BiPoly:
-    return BiPoly({(deg, 0): c})
-
-
-def _falling_integral(n: int, d: int) -> BiPoly:
-    """C(n, d) times the integral of (x|L)_d over [0, 1], through b_j."""
+@lru_cache(maxsize=None)
+def _falling_integral(d: int) -> BiPoly:
+    """The integral of (x|L)_d over [0, 1], through b_j; every k shares it."""
     return sum_of_products(
         (
-            _lambda_pow(comb(n, d) * comb(d, m) * bernoulli_second_kind(d - m), d - m),
+            BiPoly({(d - m, 0): comb(d, m) * bernoulli_second_kind(d - m)}),
             falling_product(ONE, m + 1) / (m + 1),
         )
         for m in range(d + 1)
@@ -246,9 +233,11 @@ def integral_unit_interval(n: int, k: int, reading: str = "theorem") -> BiPoly:
     """
     direct = fdpb_poly(n, k).integrate_x_unit()
     if reading == "theorem":
-        pairs = ((_falling_integral(n, l), fdpb_closed(n - l, k)) for l in range(n + 1))
+        pairs = [(_falling_integral(l), fdpb_closed(n - l, k) * comb(n, l))
+                 for l in range(n + 1)]
     elif reading == "expansion":
-        pairs = ((fdpb_closed(l, k), _falling_integral(n, n - l)) for l in range(n + 1))
+        pairs = [(fdpb_closed(l, k) * comb(n, l), _falling_integral(n - l))
+                 for l in range(n + 1)]
     else:
         raise ValueError(f"unknown reading {reading!r}")
     total = sum_of_products(pairs)

@@ -6,8 +6,12 @@ unknown, not zero.  Arithmetic results carry the minimum order of the
 operands; division and composition reduce the order according to the
 valuation rules documented on each operation.
 
-All the generating functions in this library are built here.  The one
-delicate point is that exponents and logarithms of the form
+All the generating functions in this library are built here.  At order N
+a product, a quotient, exp (n g_n = sum k f_k g_{n-k}) and log (the
+integral of f'/f) each take O(N^2) coefficient products (Brent & Kung,
+J. ACM 25, 1978); composition takes about 2 sqrt(N) series products, by
+baby steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput. 2,
+1973).  The one delicate point is that exponents and logarithms of the form
 (1 + L t)^(mu/L) and (1/L) log(1 + L t) are produced by closed-form
 coefficient builders (:func:`degenerate_pow`, :func:`lambda_log`) so that
 no coefficient ever leaves Q[L, x]; dividing literally by the scalar L
@@ -17,9 +21,9 @@ would force a rational-function ring.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
-from .ring import ONE, ZERO, BiPoly, RatLike, _pack, _sum_packed
+from .ring import ONE, ZERO, BiPoly, Packed, RatLike, _pack, _sum_packed
 
 
 class SeriesError(Exception):
@@ -116,12 +120,9 @@ class Series:
         if not isinstance(other, Series):
             c = _coerce_poly(other)
             return Series([a * c for a in self._coeffs])
-        n = min(self.order, other.order)
-        a = [_pack(c) for c in self._coeffs[: n + 1]]
-        b = [_pack(c) for c in other._coeffs[: n + 1]]
-        return Series([
-            _sum_packed([(a[i], b[m - i]) for i in range(m + 1)]) for m in range(n + 1)
-        ])
+        n = min(self.order, other.order) + 1
+        a, b = _pack_all(self._coeffs[:n]), _pack_all(other._coeffs[:n])
+        return Series(_product(a, b))
 
     __rmul__ = __mul__
 
@@ -161,43 +162,64 @@ def series_div(f: Series, g: Series) -> Series:
     return Series(q)
 
 
+def _pack_all(coeffs) -> list[Packed]:
+    return [_pack(c) for c in coeffs]
+
+
+def _product(a: list[Packed], b: list[Packed]) -> list[BiPoly]:
+    """Coefficients of the product of two packed series of one order."""
+    return [
+        _sum_packed([(a[i], b[m - i]) for i in range(m + 1)]) for m in range(len(a))
+    ]
+
+
 def series_compose(outer: Series, inner: Series) -> Series:
-    """Substitute inner(t) into outer, exact up to the shared order."""
+    """Substitute inner(t) into outer, exact up to the shared order N.
+
+    Blocks of s = ceil(sqrt(N+1)) outer coefficients are summed against
+    inner^0 .. inner^(s-1) and Horner-summed in inner^s, which vanishes to
+    order s, so the sum above block j is needed only to order N - (j+1)s.
+    """
     if not inner.coeff(0).is_zero():
         raise NonzeroConstantTerm("inner series must have zero constant term")
     n = min(outer.order, inner.order)
-    inner = inner.truncate(n)
-    out = Series.constant(outer.coeff(0), n)
-    power = Series.constant(ONE, n)
-    for m in range(1, n + 1):
-        power = power * inner
-        out = out + power * outer.coeff(m)
-    return out
+    s = isqrt(n) + 1
+    step = _pack_all(inner.coeffs[: n + 1])
+    powers = [[_pack(ONE)] + [_pack(ZERO)] * n]
+    while len(powers) <= s:
+        powers.append(_pack_all(_product(powers[-1], step)))
+    giant = powers.pop()[s:]
+    c = _pack_all(outer.coeffs[: n + 1])
+    above: list[Packed] = []
+    for j in range(n // s, -1, -1):
+        base = j * s
+        out = []
+        for m in range(n - base + 1):
+            pairs = [(c[base + i], powers[i][m]) for i in range(min(s, m + 1))]
+            pairs += [(above[i], giant[m - s - i]) for i in range(m - s + 1)]
+            out.append(_sum_packed(pairs))
+        if j:
+            above = _pack_all(out)
+    return Series(out)
 
 
 def series_log(f: Series) -> Series:
+    """log f = integral of f'/f: one series division, O(N^2) coefficient products."""
     if f.coeff(0) != ONE:
         raise BadConstantTerm("log needs constant term 1")
-    n = f.order
-    u = f - Series.constant(ONE, n)
-    out = Series.constant(ZERO, n)
-    power = Series.constant(ONE, n)
-    for m in range(1, n + 1):
-        power = power * u
-        out = out + power * Fraction((-1) ** (m - 1), m)
-    return out
+    return series_integrate(series_div(series_derivative(f), f)).truncate(f.order)
 
 
 def series_exp(f: Series) -> Series:
+    """g = exp f by n g_n = sum_{k=1}^{n} k f_k g_{n-k} (Brent & Kung), O(N^2)."""
     if not f.coeff(0).is_zero():
         raise BadConstantTerm("exp needs constant term 0")
-    n = f.order
-    out = Series.constant(ONE, n)
-    power = Series.constant(ONE, n)
-    for m in range(1, n + 1):
-        power = power * f
-        out = out + power * Fraction(1, factorial(m))
-    return out
+    df = _pack_all(c * k for k, c in enumerate(f.coeffs))
+    g, out = [_pack(ONE)], [ONE]
+    for m in range(1, f.order + 1):
+        out.append(_sum_packed([(df[k], g[m - k]) for k in range(1, m + 1)]) / m)
+        g.append(_pack(out[-1]))
+    return Series(out)
 
 
 def series_integrate(f: Series) -> Series:

@@ -125,7 +125,7 @@ def _shift_power(y: BiPoly, b: int) -> BiPoly:
 def _shifted(p: BiPoly, y: BiPoly) -> BiPoly:
     """p(x + y), with the powers of (x + y) cached across calls."""
     return sum_of_products(
-        (p.x_coeff(d), _shift_power(y, d)) for d in range(p.x_degree() + 1)
+        (c, _shift_power(y, d)) for d, c in enumerate(p.x_coeffs())
     )
 
 

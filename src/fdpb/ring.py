@@ -145,6 +145,13 @@ class BiPoly:
             {(ld, 0): c for (ld, xd), c in self._num.items() if xd == x_deg}, self._den
         )
 
+    def x_coeffs(self) -> list[BiPoly]:
+        """The coefficients of x^0 .. x^x_degree(), found in one scan."""
+        parts: list[dict[Key, int]] = [{} for _ in range(self.x_degree() + 1)]
+        for (ld, xd), c in self._num.items():
+            parts[xd][(ld, 0)] = c
+        return [BiPoly._make(num, self._den) for num in parts]
+
     def __bool__(self) -> bool:
         return bool(self._num)
 
@@ -239,9 +246,7 @@ class BiPoly:
         powers = [ONE]
         for _ in range(self.x_degree()):
             powers.append(powers[-1] * replacement)
-        return sum_of_products(
-            (self.x_coeff(d), power) for d, power in enumerate(powers)
-        )
+        return sum_of_products(zip(self.x_coeffs(), powers))
 
     def derivative_x(self) -> BiPoly:
         return BiPoly._make(

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import fps
-from .ring import ONE, ZERO, BiPoly, RatLike, falling_product
+from .ring import ONE, BiPoly, RatLike, falling_product
 
 
 class IndexOutOfRange(Exception):
@@ -66,8 +66,8 @@ def stirling(kind: str, n: int, l: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_series(order: int) -> fps.Series:
-    # t / (e^t - 1)
+def bernoulli_series(order: int) -> fps.Series:
+    """The series t / (e^t - 1), the ordinary form of the Bernoulli EGF."""
     t = fps.Series.t(order)
     denom = fps.series_exp(t) - fps.Series.constant(ONE, order)
     return fps.series_div(t, denom)
@@ -77,8 +77,7 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2 convention)."""
     if n < 0:
         raise IndexOutOfRange("bernoulli needs n >= 0")
-    order = _round_order(n)
-    return fps.egf_coeff(_bernoulli_series(order), n).constant()
+    return fps.egf_coeff(bernoulli_series(work_order(n)), n).constant()
 
 
 @lru_cache(maxsize=None)
@@ -93,12 +92,11 @@ def bernoulli_second_kind(n: int) -> Fraction:
     """Bernoulli number of the second kind b_n (EGF t / log(1+t))."""
     if n < 0:
         raise IndexOutOfRange("bernoulli_second_kind needs n >= 0")
-    order = _round_order(n)
-    return fps.egf_coeff(_bernoulli2_series(order), n).constant()
+    return fps.egf_coeff(_bernoulli2_series(work_order(n)), n).constant()
 
 
-def _round_order(n: int) -> int:
-    # round the working order up so cached series get reused across n
+def work_order(n: int) -> int:
+    # n + 2 guard coefficients, rounded up so series caches are shared across n
     return ((n + 2 + 7) // 8) * 8
 
 
@@ -113,12 +111,5 @@ def polylog_series(k: int, inner: fps.Series) -> fps.Series:
     Since the inner series vanishes at t = 0, truncation at the shared
     order is exact: terms with n beyond the order cannot contribute.
     """
-    if not inner.coeff(0).is_zero():
-        raise fps.NonzeroConstantTerm("polylog needs an inner series with valuation >= 1")
-    order = inner.order
-    out = fps.Series.constant(ZERO, order)
-    power = fps.Series.constant(ONE, order)
-    for n in range(1, order + 1):
-        power = power * inner
-        out = out + power * Fraction(n) ** (-k)
-    return out
+    terms = [Fraction(n) ** -k if n else 0 for n in range(inner.order + 1)]
+    return fps.series_compose(fps.Series(terms), inner)

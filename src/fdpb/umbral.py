@@ -19,8 +19,8 @@ from functools import lru_cache
 from math import factorial
 
 from . import fps
-from .ring import LAM, ONE, X, ZERO, BiPoly, RatLike, canonical_string
-from .families import RouteMismatch, classical_poly_bernoulli, fdpb_poly
+from .ring import LAM, ONE, X, ZERO, BiPoly, RatLike, canonical_string, sum_of_products
+from .families import RouteMismatch, fdpb_poly
 from .sequences import polylog_series, stirling2
 
 
@@ -34,12 +34,7 @@ def pair(f: fps.Series, p: BiPoly) -> BiPoly:
         raise fps.OrderExceeded(
             f"functional of order {f.order} paired with degree-{deg} polynomial"
         )
-    out = ZERO
-    for j in range(deg + 1):
-        c = p.x_coeff(j)
-        if not c.is_zero():
-            out = out + c * fps.egf_coeff(f, j)
-    return out
+    return sum_of_products((c, fps.egf_coeff(f, j)) for j, c in enumerate(p.x_coeffs()))
 
 
 def shift_operator(p: BiPoly, y: BiPoly | RatLike) -> BiPoly:
@@ -133,8 +128,3 @@ def eq60_connection(n: int, k: int) -> BiPoly:
         if s2:
             out = out + BiPoly({(n - m, 0): s2}) * fdpb_poly(m, k)
     return out
-
-
-def classical_target(n: int, k: int) -> BiPoly:
-    """The L-free polynomial the connection formula must reproduce."""
-    return classical_poly_bernoulli(n, k, X)

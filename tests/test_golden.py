@@ -3,7 +3,10 @@
 ``golden_cli.json`` maps each command line below to the stdout it printed
 under the Fraction-dict ring, before the integer-numerator ring replaced
 it; the two large-n fdpb commands were captured under the scalar
-``Fraction`` closed sum, before the integer closed-sum route replaced it.
+``Fraction`` closed sum, before the integer closed-sum route replaced it,
+and the four tables at n-max 28 and 20 under the power-sum series
+kernels, before exp, log and composition moved to recurrences and baby
+steps and giant steps.
 Changes to the arithmetic core must leave every byte as it is.
 """
 
@@ -35,6 +38,15 @@ def _commands() -> list[tuple[str, ...]]:
         ("table", "--family", "fdpb", "--k", "-3", "--n-max", "40", "--lambda=-1/2")
     )
     out.append(("poly", "--family", "fdpb", "--k", "3", "--n", "24", "--symbolic"))
+    # n-max 28 reaches series order 32 and n-max 20 order 24, where N + 1
+    # is a perfect square and composition's last block is full
+    for family, k_args, n_max in (
+        ("polybernoulli", ("--k", "3"), "28"),
+        ("carlitz", (), "28"),
+        ("bernoulli", (), "28"),
+        ("daehee", (), "20"),
+    ):
+        out.append(("table", "--family", family, *k_args, "--n-max", n_max, "--symbolic"))
     out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
     return out
 

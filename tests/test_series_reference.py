@@ -1,0 +1,90 @@
+"""The series kernels against the power-sum loops they replaced.
+
+``series_reference`` keeps the O(N)-product loops that ``fdpb.fps``,
+``fdpb.families`` and ``fdpb.sequences`` used before exp and log moved
+to coefficient recurrences and composition to baby steps and giant
+steps.  On random series with bivariate coefficients every kernel must
+give the same series.  Orders run over 0..24; the orders where N + 1 is
+a perfect square (0, 3, 8, 15, 24) fill their last block exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import series_reference as ref
+from fdpb import families, fps, sequences
+from fdpb.fps import Series
+from fdpb.ring import ONE, ZERO, BiPoly
+
+ORDERS = range(25)
+PERFECT_SQUARE_ORDERS = (0, 3, 8, 15, 24)
+KS = range(-3, 4)
+
+coefficients = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
+)
+bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)), coefficients, max_size=3
+).map(BiPoly)
+orders = st.one_of(st.sampled_from(PERFECT_SQUARE_ORDERS), st.sampled_from(ORDERS))
+
+
+def series(order, constant=None):
+    """Series of the given order; ``constant`` fixes the t^0 coefficient."""
+    coeffs = st.lists(bipolys, min_size=order + 1, max_size=order + 1)
+    if constant is not None:
+        coeffs = coeffs.map(lambda c: [constant, *c[1:]])
+    return coeffs.map(Series)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+class TestKernels:
+    @given(data=st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_exp(self, order, data):
+        f = data.draw(series(order, ZERO))
+        assert fps.series_exp(f) == ref.series_exp(f)
+
+    @given(data=st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_log(self, order, data):
+        f = data.draw(series(order, ONE))
+        assert fps.series_log(f) == ref.series_log(f)
+
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_compose(self, order, data):
+        # either series may run longer; the result keeps the shared order
+        outer = data.draw(series(order + data.draw(st.integers(0, 2))))
+        inner = data.draw(series(order + data.draw(st.integers(0, 1)), ZERO))
+        composed = fps.series_compose(outer, inner)
+        assert composed.order == min(outer.order, inner.order)
+        assert composed == ref.series_compose(outer, inner)
+
+
+@pytest.mark.parametrize("k", KS)
+class TestPolylogs:
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_polylog_over_z(self, k, data):
+        z = data.draw(series(data.draw(orders), ZERO))
+        assert families._polylog_over_z(k, z) == ref.polylog_over_z(k, z)
+
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_polylog_series(self, k, data):
+        inner = data.draw(series(data.draw(orders), ZERO))
+        assert sequences.polylog_series(k, inner) == ref.polylog_series(k, inner)
+
+    def test_generating_function_arguments(self, k):
+        # the two arguments the families use: 1 - e^(-t) and 1 - (1+Lt)^(-1/L)
+        order = 24
+        for z in (
+            Series.constant(ONE, order) - fps.exp_t(-1, order),
+            Series.constant(ONE, order) - fps.degenerate_pow(-1, order),
+        ):
+            assert families._polylog_over_z(k, z) == ref.polylog_over_z(k, z)
+            assert sequences.polylog_series(k, z) == ref.polylog_series(k, z)
