@@ -81,9 +81,10 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.n_max < 0:
         parser.error(f"--n-max must be >= 0, got {args.n_max}")
     mode = _lambda_mode(args)
+    # the last row first: its series serves every smaller n
+    values = [_family_value(args.family, n, args.k, 0) for n in range(args.n_max, -1, -1)]
     rows = []
-    for n in range(args.n_max + 1):
-        value = _family_value(args.family, n, args.k, 0)
+    for n, value in enumerate(reversed(values)):
         if args.lam is not None:
             value = value.eval_at(lam=args.lam)
         rows.append(_record(args.family, n, args.k, mode, canonical_string(value)))

@@ -14,6 +14,12 @@ fully degenerate family default to the binomial expansion over the
 generalized falling factorials, which is much cheaper than the bivariate
 generating function; the generating-function route stays available as the
 oracle.
+
+Each generating function is an argument-free quotient q(t) times an
+argument series A(t), e^{arg t} or (1+Lt)^{arg/L}.  The longest q built so
+far is kept per family (and per k) and serves every smaller n.  A value
+n! [t^n] q A is one fused sum of q_j a_(n-j), with the a_j cached per
+(arg, order) for all families, or n! q_n at arg = 0.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from . import fps
-from .ring import LAM, ONE, X, ZERO, BiPoly, RatLike, falling_product, sum_of_products
+from .ring import (
+    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, falling_product, sum_of_products
+)
 from .sequences import (
     bernoulli_second_kind, bernoulli_series, stirling1, stirling2, work_order
 )
@@ -40,44 +48,63 @@ class RouteMismatch(Exception):
         self.rhs = rhs
 
 
-def _as_arg(arg: ArgLike) -> BiPoly:
-    if isinstance(arg, BiPoly):
-        return arg
-    return BiPoly.const(arg)
+_quotients: dict[tuple, fps.Series] = {}
+
+
+def _quotient(build, *key: int, n: int) -> fps.Series:
+    """The longest series build(*key, order) has made, of order n or more.
+
+    A truncated series is exact up to its order, so the longest one serves
+    every coefficient up to its order; when it is short, the series built
+    at work_order(n) replaces it.
+    """
+    series = _quotients.get((build, *key))
+    if series is None or series.order < n:
+        series = _quotients[(build, *key)] = build(*key, work_order(n))
+    return series
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_series(order: int, arg: BiPoly) -> fps.Series:
-    return bernoulli_series(order) * fps.exp_t(arg, order)
+def _argument(power, arg: BiPoly, order: int) -> tuple[BiPoly, ...]:
+    """Coefficients of the argument series power(arg, order), for every family."""
+    return power(arg, order).coeffs
+
+
+def _read(n: int, arg: ArgLike, power, build, *key: int) -> BiPoly:
+    """n! [t^n] of build's quotient q times power(arg), as one sum of q_j a_(n-j)."""
+    q = _quotient(build, *key, n=n).coeffs
+    arg = _coerce(arg)
+    if arg.is_zero():
+        return q[n] * factorial(n)
+    a = _argument(power, arg, work_order(n))
+    return sum_of_products((q[j], a[n - j]) for j in range(n + 1)) * factorial(n)
 
 
 def bernoulli_poly(n: int, arg: ArgLike = X) -> BiPoly:
     """Bernoulli polynomial B_n, or its value at a rational argument."""
-    return fps.egf_coeff(_bernoulli_series(work_order(n), _as_arg(arg)), n)
+    return _read(n, arg, fps.exp_t, bernoulli_series)
 
 
-@lru_cache(maxsize=None)
-def _carlitz_series(order: int, arg: BiPoly) -> fps.Series:
-    denom = fps.degenerate_pow(ONE, order) - fps.Series.constant(ONE, order)
-    quot = fps.series_div(fps.Series.t(order), denom)
-    return quot * fps.degenerate_pow(arg, order)
+def _degenerate_expm1(order: int) -> fps.Series:
+    return fps.degenerate_pow(ONE, order) - fps.Series.constant(ONE, order)
+
+
+def _carlitz_quotient(order: int) -> fps.Series:
+    return fps.series_div(fps.Series.t(order), _degenerate_expm1(order))
 
 
 def carlitz_beta(n: int, arg: ArgLike = 0) -> BiPoly:
     """Carlitz degenerate Bernoulli number/polynomial of index n."""
-    return fps.egf_coeff(_carlitz_series(work_order(n), _as_arg(arg)), n)
+    return _read(n, arg, fps.degenerate_pow, _carlitz_quotient)
 
 
-@lru_cache(maxsize=None)
-def _daehee_series(order: int, arg: BiPoly) -> fps.Series:
-    denom = fps.degenerate_pow(ONE, order) - fps.Series.constant(ONE, order)
-    quot = fps.series_div(fps.lambda_log(order), denom)
-    return quot * fps.degenerate_pow(arg, order)
+def _daehee_quotient(order: int) -> fps.Series:
+    return fps.series_div(fps.lambda_log(order), _degenerate_expm1(order))
 
 
 def daehee_type_b(n: int, arg: ArgLike = 0) -> BiPoly:
     """Degenerate Bernoulli number/polynomial with the log numerator."""
-    return fps.egf_coeff(_daehee_series(work_order(n), _as_arg(arg)), n)
+    return _read(n, arg, fps.degenerate_pow, _daehee_quotient)
 
 
 def _polylog_over_z(k: int, z: fps.Series) -> fps.Series:
@@ -86,26 +113,23 @@ def _polylog_over_z(k: int, z: fps.Series) -> fps.Series:
     return fps.series_compose(fps.Series(terms), z)
 
 
-@lru_cache(maxsize=None)
-def _poly_bernoulli_series(k: int, order: int, arg: BiPoly) -> fps.Series:
-    z = fps.Series.constant(ONE, order) - fps.exp_t(-1, order)
-    return _polylog_over_z(k, z) * fps.exp_t(arg, order)
+def _poly_bernoulli_quotient(k: int, order: int) -> fps.Series:
+    return _polylog_over_z(k, fps.Series.constant(ONE, order) - fps.exp_t(-1, order))
 
 
 def classical_poly_bernoulli(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     """Classical poly-Bernoulli number/polynomial (no L involved)."""
-    return fps.egf_coeff(_poly_bernoulli_series(k, work_order(n), _as_arg(arg)), n)
+    return _read(n, arg, fps.exp_t, _poly_bernoulli_quotient, k)
 
 
-@lru_cache(maxsize=None)
-def _fdpb_series(k: int, order: int, arg: BiPoly) -> fps.Series:
+def _fdpb_quotient(k: int, order: int) -> fps.Series:
     z = fps.Series.constant(ONE, order) - fps.degenerate_pow(-1, order)
-    return _polylog_over_z(k, z) * fps.degenerate_pow(arg, order)
+    return _polylog_over_z(k, z)
 
 
 def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     """Fully degenerate poly-Bernoulli value via the generating function."""
-    return fps.egf_coeff(_fdpb_series(k, work_order(n), _as_arg(arg)), n)
+    return _read(n, arg, fps.degenerate_pow, _fdpb_quotient, k)
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +186,7 @@ def fdpb_poly(n: int, k: int) -> BiPoly:
 
 def fdpb_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     """Number, polynomial, or evaluated value, by the cheap expansion route."""
-    arg = _as_arg(arg)
+    arg = _coerce(arg)
     if arg.is_zero():
         return fdpb_closed(n, k)
     if arg == X:

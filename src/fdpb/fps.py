@@ -207,7 +207,9 @@ def series_log(f: Series) -> Series:
     """log f = integral of f'/f: one series division, O(N^2) coefficient products."""
     if f.coeff(0) != ONE:
         raise BadConstantTerm("log needs constant term 1")
-    return series_integrate(series_div(series_derivative(f), f)).truncate(f.order)
+    if f.order == 0:
+        return Series([ZERO])
+    return series_integrate(series_div(series_derivative(f), f))
 
 
 def series_exp(f: Series) -> Series:
@@ -228,9 +230,9 @@ def series_integrate(f: Series) -> Series:
 
 
 def series_derivative(f: Series) -> Series:
-    """Termwise d/dt; the order drops by one."""
+    """Termwise d/dt; the order drops by one, so order 0 has no derivative."""
     if f.order == 0:
-        return Series([ZERO])
+        raise OrderExceeded("an order-0 series does not know its t^1 coefficient")
     return Series([c * (n + 1) for n, c in enumerate(f.coeffs[1:])])
 
 

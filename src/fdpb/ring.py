@@ -356,15 +356,17 @@ def falling_product(mu: BiPoly | RatLike, n: int) -> BiPoly:
     return falling_product(mu, n - 1) * (mu - LAM * (n - 1))
 
 
-def _term_string(l_deg: int, x_deg: int, c: Fraction) -> str:
+def _term_string(l_deg: int, x_deg: int, num: int, den: int) -> str:
+    """One term num/den * L^l_deg * x^x_deg; num/den is reduced here."""
+    if den != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    coeff = str(num) if den == 1 else f"{num}/{den}"
     if l_deg == 0 and x_deg == 0:
-        return str(c)
+        return coeff
     parts = []
-    if c != 1:
-        token = str(c)
-        if c < 0 or c.denominator != 1:
-            token = f"({token})"
-        parts.append(token)
+    if num != 1 or den != 1:
+        parts.append(coeff if num > 0 and den == 1 else f"({coeff})")
     if l_deg:
         parts.append("L" if l_deg == 1 else f"L^{l_deg}")
     if x_deg:
@@ -377,9 +379,7 @@ def canonical_string(p: BiPoly) -> str:
     if p.is_zero():
         return "0"
     keys = sorted(p._num, key=lambda k: (-k[1], -k[0]))
-    return " + ".join(
-        _term_string(ld, xd, Fraction(p._num[(ld, xd)], p._den)) for ld, xd in keys
-    )
+    return " + ".join(_term_string(ld, xd, p._num[(ld, xd)], p._den) for ld, xd in keys)
 
 
 def parse_poly(text: str) -> BiPoly:

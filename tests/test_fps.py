@@ -197,6 +197,14 @@ class TestCalculus:
         assert out.coeff(1) == ONE
         assert out.coeff(2) == BiPoly.const(Fraction(-1, 4))
 
+    def test_derivative_of_order_zero_is_unknown(self):
+        # f_1 lies beyond the truncation order, so no t^0 coefficient is known
+        with pytest.raises(OrderExceeded):
+            series_derivative(Series.constant(ONE, 0))
+
+    def test_log_of_order_zero(self):
+        assert series_log(Series.constant(ONE, 0)) == Series([ZERO])
+
     @given(rational_series(8))
     @settings(max_examples=40, deadline=None)
     def test_derivative_inverts_integrate(self, f):

@@ -6,7 +6,9 @@ it; the two large-n fdpb commands were captured under the scalar
 ``Fraction`` closed sum, before the integer closed-sum route replaced it,
 and the four tables at n-max 28 and 20 under the power-sum series
 kernels, before exp, log and composition moved to recurrences and baby
-steps and giant steps.
+steps and giant steps.  The five ``poly`` commands of the series families
+were captured while each family multiplied its whole quotient series by
+its whole argument series, before one coefficient was read as one sum.
 Changes to the arithmetic core must leave every byte as it is.
 """
 
@@ -47,6 +49,15 @@ def _commands() -> list[tuple[str, ...]]:
         ("daehee", (), "20"),
     ):
         out.append(("table", "--family", family, *k_args, "--n-max", n_max, "--symbolic"))
+    # the series families' poly path: one coefficient of quotient * argument
+    out += [
+        ("poly", "--family", "carlitz", "--n", "28", "--symbolic"),
+        ("poly", "--family", "carlitz", "--n", "9", "--lambda=-1/2", "--format", "json"),
+        ("poly", "--family", "daehee", "--n", "20", "--symbolic"),
+        ("poly", "--family", "bernoulli", "--n", "28", "--symbolic"),
+        ("poly", "--family", "polybernoulli", "--k", "-3", "--n", "28", "--lambda=1/2",
+         "--format", "csv"),
+    ]
     out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
     return out
 
