@@ -158,23 +158,6 @@ def fdpb_closed(n: int, k: int) -> BiPoly:
     return BiPoly._make(num, den)
 
 
-def fdpb_negative_closed(n: int, k: int) -> BiPoly:
-    """The negative-index double sum; equals fdpb_closed(n, -k)."""
-    out = ZERO
-    for m in range(n + 1):
-        s1 = stirling1(n, m)
-        if s1 == 0:
-            continue
-        acc = Fraction(0)
-        for j in range(m + 1):
-            acc += (
-                Fraction((-1) ** (j + m) * factorial(j) * stirling2(m, j))
-                * Fraction(j + 1) ** k
-            )
-        out = out + BiPoly({(n - m, 0): acc * s1})
-    return out
-
-
 @lru_cache(maxsize=None)
 def fdpb_poly(n: int, k: int) -> BiPoly:
     """The degree-n polynomial, via the binomial/falling-factorial expansion."""
@@ -246,27 +229,12 @@ def _falling_integral(d: int) -> BiPoly:
     )
 
 
-def integral_unit_interval(n: int, k: int, reading: str = "theorem") -> BiPoly:
-    """Integral of the degree-n polynomial over x in [0, 1].
+def integral_unit_interval(n: int, k: int) -> BiPoly:
+    """Integral of the degree-n polynomial over x in [0, 1], as a double sum.
 
-    Computed by direct termwise integration and by the double-sum identity
-    in terms of Bernoulli numbers of the second kind; the two must agree.
-    The ``reading`` switch selects which indexing of the double sum is
-    assembled ("theorem" or "expansion"); they are related by reversing
-    the outer summation index and agree identically.
+    sum_l C(n, l) beta_(n-l) int_0^1 (x|L)_l dx, where each integral of a
+    falling factorial is a sum over Bernoulli numbers of the second kind.
     """
-    direct = fdpb_poly(n, k).integrate_x_unit()
-    if reading == "theorem":
-        pairs = [(_falling_integral(l), fdpb_closed(n - l, k) * comb(n, l))
-                 for l in range(n + 1)]
-    elif reading == "expansion":
-        pairs = [(fdpb_closed(l, k) * comb(n, l), _falling_integral(n - l))
-                 for l in range(n + 1)]
-    else:
-        raise ValueError(f"unknown reading {reading!r}")
-    total = sum_of_products(pairs)
-    if direct != total:
-        raise RouteMismatch(
-            f"unit-interval integral routes disagree at n={n}, k={k}", direct, total
-        )
-    return direct
+    return sum_of_products(
+        (_falling_integral(l), fdpb_closed(n - l, k) * comb(n, l)) for l in range(n + 1)
+    )

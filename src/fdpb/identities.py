@@ -1,10 +1,11 @@
 """Executable identity checks with counterexample reporting.
 
 Every identity is verified as an exact equality of bivariate polynomials
-(simultaneously in L and x), never at sampled numeric points; the one
-exception is the addition formula, whose second shift variable is probed
-at enough rational points (degree + 2 of them per index) to pin the
-polynomial identity down completely.
+(simultaneously in L and x), never at sampled numeric points.  Each cell
+compares two independent routes, so either side can fail on its own: the
+addition formula is compared power by power of its shift variable y, and
+the negative-index formula against a route through Stirling numbers of
+the second kind alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ring import (
     falling_product,
     sum_of_products,
 )
-from .sequences import bernoulli_second_kind, gen_falling, stirling1, stirling2
+from .sequences import stirling1, stirling2
 
 
 class UnknownIdentity(Exception):
@@ -101,47 +102,23 @@ class Report:
 Cell = tuple[int, Optional[int], BiPoly, BiPoly]
 
 
-def _probe_values(count: int) -> list[BiPoly]:
-    probes: list[BiPoly] = [
-        ONE,
-        BiPoly.const(-1),
-        LAM,
-        BiPoly.const(Fraction(1, 2)),
-    ]
-    value = 2
-    while len(probes) < count:
-        probes.append(BiPoly.const(value))
-        value += 1
-    return probes[:count]
-
-
-@lru_cache(maxsize=None)
-def _shift_power(y: BiPoly, b: int) -> BiPoly:
-    if b == 0:
-        return ONE
-    return _shift_power(y, b - 1) * (X + y)
-
-
-def _shifted(p: BiPoly, y: BiPoly) -> BiPoly:
-    """p(x + y), with the powers of (x + y) cached across calls."""
-    return sum_of_products(
-        (c, _shift_power(y, d)) for d, c in enumerate(p.x_coeffs())
-    )
-
-
 def _cells_thm1_addition(n_max: int, ks: range) -> Iterator[Cell]:
+    # beta_n(x + y) = sum_m C(n, m) beta_m(x) (y|L)_{n-m}, compared power by
+    # power of y through (y|L)_j = sum_e S1(j, e) L^{j-e} y^e; the power
+    # e = 0 reads beta_n = beta_n and is left out
     for k in ks:
-        for n in range(n_max + 1):
-            poly = fam.fdpb_poly(n, k)
-            # degree in the shift variable is at most n, so n + 2 probe
-            # points prove the identity for symbolic y
-            for y in _probe_values(n + 2):
-                # the theorem's right side, sum_m C(n, m) beta_m(x) (y|L)_{n-m}
+        for n in range(1, n_max + 1):
+            taylor = fam.fdpb_poly(n, k)
+            for e in range(1, n + 1):
+                taylor = taylor.derivative_x() / e
                 rhs = sum_of_products(
-                    (fam.fdpb_poly(m, k), falling_product(y, n - m) * comb(n, m))
-                    for m in range(n + 1)
+                    (
+                        fam.fdpb_poly(m, k),
+                        BiPoly({(n - m - e, 0): comb(n, m) * stirling1(n - m, e)}),
+                    )
+                    for m in range(n - e + 1)
                 )
-                yield n, k, _shifted(poly, y), rhs
+                yield n, k, taylor, rhs
 
 
 def _cells_thm1_limit(n_max: int, ks: range) -> Iterator[Cell]:
@@ -161,42 +138,31 @@ def _cells_thm1_limit(n_max: int, ks: range) -> Iterator[Cell]:
 
 def _cells_thm2(n_max: int, ks: range) -> Iterator[Cell]:
     for k in ks:
+        # per-l weights sum_{m<l} (-1)^(l-m-1) m! S2(l, m+1) (m+1)^(1-k),
+        # summed from stirling2 so that they share nothing with fdpb_closed
+        weights = [
+            sum(
+                (-1) ** (l - m - 1) * factorial(m) * stirling2(l, m + 1)
+                * Fraction(m + 1) ** (1 - k)
+                for m in range(l)
+            )
+            for l in range(n_max + 1)
+        ]
         for n in range(1, n_max + 1):
             lhs = fam.fdpb_closed(n, k) - fam.fdpb_value(n, k, -1)
-            rhs = ZERO
-            alt = ZERO
-            for l in range(1, n + 1):
-                s1 = stirling1(n, l)
-                if s1 == 0:
-                    continue
-                for m in range(l):
-                    base = (
-                        factorial(m)
-                        * (-1) ** (l - m - 1)
-                        * stirling2(l, m + 1)
-                        * s1
-                    )
-                    rhs = rhs + BiPoly(
-                        {(n - l, 0): base * Fraction(m + 1) ** (-(k - 1))}
-                    )
-                    # pre-simplification weight m!(m+1)/(m+1)^k
-                    alt = alt + BiPoly(
-                        {(n - l, 0): base * (m + 1) * Fraction(m + 1) ** (-k)}
-                    )
-            yield n, k, rhs, alt
+            rhs = BiPoly(
+                {(n - l, 0): stirling1(n, l) * weights[l] for l in range(1, n + 1)}
+            )
             yield n, k, lhs, rhs
 
 
 def _cells_thm3(n_max: int, ks: range) -> Iterator[Cell]:
+    carlitz = [fam.carlitz_beta(l, 1) for l in range(n_max + 1)]
+    daehee = [fam.daehee_type_b(j, -LAM) / (j + 1) for j in range(n_max + 1)]
     for n in range(n_max + 1):
-        rhs = ZERO
-        for l in range(n + 1):
-            rhs = rhs + (
-                comb(n, l)
-                * fam.carlitz_beta(l, 1)
-                * fam.daehee_type_b(n - l, -LAM)
-                / (n - l + 1)
-            )
+        rhs = sum_of_products(
+            (carlitz[l] * comb(n, l), daehee[n - l]) for l in range(n + 1)
+        )
         yield n, 2, fam.fdpb_closed(n, 2), rhs
 
 
@@ -209,24 +175,46 @@ def _cells_thm4(n_max: int, ks: range) -> Iterator[Cell]:
 def _cells_thm5(n_max: int, ks: range) -> Iterator[Cell]:
     for k in ks:
         for n in range(1, n_max + 1):
-            rhs = fam.fdpb_closed(n, k - 1)
+            pairs = [(ONE, fam.fdpb_closed(n, k - 1))]
             for m in range(1, n):
-                rhs = rhs - (
-                    comb(n, m - 1)
-                    * fam.fdpb_closed(m, k)
-                    * gen_falling(ONE, n - m + 1)
-                )
-            for m in range(n):
-                rhs = rhs - (
-                    LAM * comb(n, m) * m * fam.fdpb_closed(m, k) * gen_falling(ONE, n - m)
-                )
-            yield n, k, fam.fdpb_closed(n, k), rhs / (n + 1)
+                beta = -fam.fdpb_closed(m, k)
+                pairs += [
+                    (beta * comb(n, m - 1), falling_product(ONE, n - m + 1)),
+                    (beta * LAM * (comb(n, m) * m), falling_product(ONE, n - m)),
+                ]
+            yield n, k, fam.fdpb_closed(n, k), sum_of_products(pairs) / (n + 1)
+
+
+def _negative_route(n: int, k: int) -> BiPoly:
+    """beta_n^(-k)(x) for k >= 0, through S2 and shifted falling factorials.
+
+    Li_{-k}(z) = sum_j j! S2(k+1, j+1) (z/(1-z))^(j+1), and here z/(1-z)
+    is (1+Lt)^(1/L) - 1, so beta_n^(-k)(x) is
+    sum_j sum_(i<=j) (-1)^(j-i) C(j, i) j! S2(k+1, j+1) (x+i+1|L)_n.
+    """
+    return sum_of_products(
+        (
+            BiPoly.const(
+                (-1) ** (j - i) * comb(j, i) * factorial(j) * stirling2(k + 1, j + 1)
+            ),
+            falling_product(X + (i + 1), n),
+        )
+        for j in range(k + 1)
+        for i in range(j + 1)
+    )
 
 
 def _cells_thm6(n_max: int, ks: range) -> Iterator[Cell]:
-    for k in ks:
+    # the second cell is Kaneko's duality B_n^(-k) = B_k^(-n) at L = 0
+    for k in (k for k in ks if k >= 0):
         for n in range(n_max + 1):
-            yield n, k, fam.fdpb_negative_closed(n, k), fam.fdpb_closed(n, -k)
+            yield n, k, _negative_route(n, k), fam.fdpb_poly(n, -k)
+            yield (
+                n,
+                k,
+                fam.fdpb_closed(n, -k).eval_at(lam=0),
+                fam.fdpb_closed(k, -n).eval_at(lam=0),
+            )
 
 
 def _cells_thm7(n_max: int, ks: range) -> Iterator[Cell]:
@@ -242,12 +230,7 @@ def _cells_thm8(n_max: int, ks: range) -> Iterator[Cell]:
     for k in ks:
         for n in range(n_max + 1):
             direct = fam.fdpb_poly(n, k).integrate_x_unit()
-            for reading in ("theorem", "expansion"):
-                try:
-                    value = fam.integral_unit_interval(n, k, reading=reading)
-                except fam.RouteMismatch as exc:
-                    value = exc.rhs
-                yield n, k, direct, value
+            yield n, k, direct, fam.integral_unit_interval(n, k)
             functional = _integration_functional(n + 1)
             yield n, k, direct, umbral.pair(functional, fam.fdpb_poly(n, k))
 
@@ -278,16 +261,8 @@ def _cells_eq14(n_max: int, ks: range) -> Iterator[Cell]:
 
 def _cells_eq38(n_max: int, ks: range) -> Iterator[Cell]:
     for n in range(n_max + 1):
-        lhs = gen_falling(X, n).integrate_x_unit()
-        rhs = ZERO
-        for l in range(n + 1):
-            rhs = rhs + (
-                comb(n, l)
-                * BiPoly({(n - l, 0): bernoulli_second_kind(n - l)})
-                * gen_falling(ONE, l + 1)
-                / (l + 1)
-            )
-        yield n, None, lhs, rhs
+        lhs = falling_product(X, n).integrate_x_unit()
+        yield n, None, lhs, fam._falling_integral(n)
 
 
 def _cells_deriv(n_max: int, ks: range) -> Iterator[Cell]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import fps
-from .ring import ONE, BiPoly, RatLike, falling_product
+from .ring import ONE, falling_product
 
 
 class IndexOutOfRange(Exception):
@@ -57,14 +57,6 @@ def stirling2(n: int, l: int) -> int:
     return _stirling2_row(n)[l]
 
 
-def stirling(kind: str, n: int, l: int) -> int:
-    if kind == "first-signed":
-        return stirling1(n, l)
-    if kind == "second":
-        return stirling2(n, l)
-    raise ValueError(f"unknown Stirling kind {kind!r}")
-
-
 @lru_cache(maxsize=None)
 def bernoulli_series(order: int) -> fps.Series:
     """The series t / (e^t - 1), the ordinary form of the Bernoulli EGF."""
@@ -100,9 +92,8 @@ def work_order(n: int) -> int:
     return ((n + 2 + 7) // 8) * 8
 
 
-def gen_falling(mu: BiPoly | RatLike, n: int) -> BiPoly:
-    """Generalized falling factorial mu (mu - L) ... (mu - (n-1) L)."""
-    return falling_product(mu, n)
+# the generalized falling factorial mu (mu - L) ... (mu - (n-1) L)
+gen_falling = falling_product
 
 
 def polylog_series(k: int, inner: fps.Series) -> fps.Series:

@@ -79,10 +79,9 @@ class BasisExpansion:
     coefficients: tuple[BiPoly, ...]
 
     def reconstruct(self) -> BiPoly:
-        out = ZERO
-        for m, a in enumerate(self.coefficients):
-            out = out + a * fdpb_poly(m, self.k)
-        return out
+        return sum_of_products(
+            (a, fdpb_poly(m, self.k)) for m, a in enumerate(self.coefficients)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -122,9 +121,6 @@ def sheffer_expand(p: BiPoly, k: int) -> BasisExpansion:
 def eq60_connection(n: int, k: int) -> BiPoly:
     """Assemble sum_m L^{n-m} S2(n, m) beta_m(x); equals the classical
     poly-Bernoulli polynomial, with every L cancelling."""
-    out = ZERO
-    for m in range(n + 1):
-        s2 = stirling2(n, m)
-        if s2:
-            out = out + BiPoly({(n - m, 0): s2}) * fdpb_poly(m, k)
-    return out
+    return sum_of_products(
+        (BiPoly({(n - m, 0): stirling2(n, m)}), fdpb_poly(m, k)) for m in range(n + 1)
+    )

@@ -13,12 +13,12 @@ from fdpb.families import (
     fdpb_closed,
     fdpb_gf,
     fdpb_iterated_integral,
-    fdpb_negative_closed,
     fdpb_poly,
     fdpb_value,
     fdpb_x_derivative,
     integral_unit_interval,
 )
+from fdpb.identities import _negative_route
 from fdpb.sequences import bernoulli, stirling2
 
 HALF = Fraction(1, 2)
@@ -112,15 +112,19 @@ class TestFdpbNumbers:
 
 
 class TestNegativeClosed:
+    # the S2 route of THM6 and the closed sum at negated index
     def test_index_zero_and_one(self):
         for k in K_RANGE:
-            assert fdpb_negative_closed(0, k) == ONE
-            assert fdpb_negative_closed(1, k) == BiPoly.const(Fraction(2) ** k)
+            assert fdpb_closed(0, -k) == ONE
+            assert fdpb_closed(1, -k) == BiPoly.const(Fraction(2) ** k)
+        for k in range(4):
+            assert _negative_route(0, k) == ONE
+            assert _negative_route(1, k) == X + 2**k
 
     def test_matches_negated_index(self):
-        for k in K_RANGE:
+        for k in range(6):
             for n in range(13):
-                assert fdpb_negative_closed(n, k) == fdpb_closed(n, -k)
+                assert _negative_route(n, k) == fdpb_poly(n, -k)
 
     def test_lambda_zero_single_sum(self):
         from math import factorial
@@ -134,7 +138,7 @@ class TestNegativeClosed:
                     )
                     for j in range(n + 1)
                 )
-                assert fdpb_negative_closed(n, k).eval_at(lam=0) == BiPoly.const(expected)
+                assert fdpb_closed(n, -k).eval_at(lam=0) == BiPoly.const(expected)
 
 
 class TestFdpbPolynomials:
@@ -199,17 +203,6 @@ class TestUnitIntervalIntegral:
         for k in K_RANGE:
             expected = BiPoly.const(Fraction(2) ** (-k) + HALF)
             assert integral_unit_interval(1, k) == expected
-
-    def test_both_readings_agree(self):
-        for k in (-2, 1, 2):
-            for n in range(9):
-                a = integral_unit_interval(n, k, reading="theorem")
-                b = integral_unit_interval(n, k, reading="expansion")
-                assert a == b
-
-    def test_unknown_reading(self):
-        with pytest.raises(ValueError):
-            integral_unit_interval(1, 1, reading="sideways")
 
     def test_route_mismatch_carries_both_values(self):
         exc = RouteMismatch("boom", ONE, ZERO)

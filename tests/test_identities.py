@@ -5,9 +5,11 @@ from math import factorial
 import pytest
 
 from fdpb import families as fam
-from fdpb.ring import BiPoly, ZERO, parse_poly
+from fdpb import identities
+from fdpb.ring import BiPoly, ONE, ZERO, parse_poly
 from fdpb.identities import (
     Counterexample,
+    EmptyRange,
     IdentityId,
     Report,
     UnknownIdentity,
@@ -46,6 +48,15 @@ class TestSingleChecks:
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentity):
             check("NO_SUCH_IDENTITY")
+
+    def test_addition_has_no_cell_at_n_zero(self):
+        # the addition formula is compared from the power y^1 up
+        with pytest.raises(EmptyRange):
+            check("THM1_ADDITION", n_max=0)
+
+    def test_negative_index_needs_a_nonnegative_k(self):
+        with pytest.raises(EmptyRange):
+            check("THM6_NEGATIVE", n_max=3, k_range=(-3, -1))
 
 
 class TestCheckAll:
@@ -96,6 +107,38 @@ class TestMutationSensitivity:
         assert any(
             truncated_closed(n, 1) != fam.fdpb_gf(n, 1) for n in range(3)
         )
+
+
+def _perturbed(fn, at):
+    """fn, plus one at the arguments ``at``."""
+    return lambda *args: fn(*args) + ONE if args == at else fn(*args)
+
+
+class TestPerturbationIsCaught:
+    def test_addition(self, monkeypatch):
+        monkeypatch.setattr(fam, "fdpb_poly", _perturbed(fam.fdpb_poly, (5, 1)))
+        report = check("THM1_ADDITION", n_max=6, k_range=(1, 1))
+        assert not report.passed
+        assert report.counterexample.n == 6
+
+    def test_difference_right_side(self, monkeypatch):
+        # in THM2, identities.stirling2 feeds only the right side's weights
+        monkeypatch.setattr(
+            identities, "stirling2",
+            lambda n, l: stirling2(n, l) + ((n, l) == (3, 2)),
+        )
+        assert not check("THM2_DIFFERENCE", n_max=4, k_range=(1, 1)).passed
+
+    def test_negative_index_route(self, monkeypatch):
+        route = _perturbed(identities._negative_route, (2, 1))
+        monkeypatch.setattr(identities, "_negative_route", route)
+        assert not check("THM6_NEGATIVE", n_max=3, k_range=(0, 2)).passed
+
+    def test_unit_interval_integral(self, monkeypatch):
+        monkeypatch.setattr(
+            fam, "_falling_integral", _perturbed(fam._falling_integral, (2,))
+        )
+        assert not check("THM8_INTEGRAL", n_max=3, k_range=(1, 1)).passed
 
 
 class TestReports:

@@ -11,7 +11,6 @@ from fdpb.sequences import (
     bernoulli_second_kind,
     gen_falling,
     polylog_series,
-    stirling,
     stirling1,
     stirling2,
 )
@@ -53,12 +52,6 @@ class TestStirling:
         for n in range(1, 10):
             assert stirling1(n, 0) == 0
             assert stirling2(n, 0) == 0
-
-    def test_kind_dispatch(self):
-        assert stirling("first-signed", 4, 2) == stirling1(4, 2)
-        assert stirling("second", 4, 2) == stirling2(4, 2)
-        with pytest.raises(ValueError):
-            stirling("third", 1, 1)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
