@@ -44,7 +44,7 @@ def _family_value(family: str, n: int, k: Optional[int], arg: BiPoly | Fraction 
     if family == "daehee":
         return fam.daehee_type_b(n, arg)
     if family == "polybernoulli":
-        return fam.classical_poly_bernoulli(n, k, arg)
+        return fam.poly_bernoulli_value(n, k, arg)
     if family == "fdpb":
         return fam.fdpb_value(n, k, arg)
     raise ValueError(f"unknown family {family!r}")

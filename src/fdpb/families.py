@@ -9,11 +9,12 @@ routes so the test suite can cross-check them:
 * classical poly-Bernoulli        Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}
 * fully degenerate poly-Bernoulli Li_k(1-(1+Lt)^{-1/L})/(1-(1+Lt)^{-1/L}) (1+Lt)^{x/L}
 
-Number values are the x = 0 case.  Polynomial values (symbolic x) for the
-fully degenerate family default to the binomial expansion over the
-generalized falling factorials, which is much cheaper than the bivariate
-generating function; the generating-function route stays available as the
-oracle.
+Number values are the x = 0 case.  Both poly-Bernoulli polynomials are
+built from Kaneko's numbers B_l^(k), memoised as integers:
+B_m^(k)(x) = sum_l C(m, l) B_l^(k) x^(m-l) and, as the fdpb generating
+function is the classical one in u = (1/L) log(1 + Lt),
+beta_n^(k)(x) = sum_m S1(n, m) L^(n-m) B_m^(k)(x).  Both are much cheaper
+than their generating functions, which stay available as the oracles.
 
 Each generating function is an argument-free quotient q(t) times an
 argument series A(t), e^{arg t} or (1+Lt)^{arg/L}.  The longest q built so
@@ -147,28 +148,42 @@ def _kaneko(l: int, k: int) -> tuple[int, int]:
     return num, (top**k if k > 0 else 1)
 
 
-@lru_cache(maxsize=None)
-def fdpb_closed(n: int, k: int) -> BiPoly:
-    """Fully degenerate poly-Bernoulli number, sum_l S1(n, l) L^(n-l) B_l^(k)."""
+def _kaneko_sum(n: int, k: int, weight, key) -> BiPoly:
+    """sum_l weight(n, l) B_l^(k) at monomial key(n - l), over one denominator."""
     weights = [_kaneko(l, k) for l in range(n + 1)]
     den = lcm(*(d for _, d in weights))
-    num = {
-        (n - l, 0): stirling1(n, l) * c * (den // d) for l, (c, d) in enumerate(weights)
-    }
+    num = {key(n - l): weight(n, l) * c * (den // d) for l, (c, d) in enumerate(weights)}
     return BiPoly._make(num, den)
 
 
 @lru_cache(maxsize=None)
+def fdpb_closed(n: int, k: int) -> BiPoly:
+    """Fully degenerate poly-Bernoulli number, sum_l S1(n, l) L^(n-l) B_l^(k)."""
+    return _kaneko_sum(n, k, stirling1, lambda e: (e, 0))
+
+
+@lru_cache(maxsize=None)
+def _kaneko_poly(m: int, k: int) -> BiPoly:
+    """Kaneko's poly-Bernoulli polynomial B_m^(k)(x) = sum_l C(m, l) B_l^(k) x^(m-l)."""
+    return _kaneko_sum(m, k, comb, lambda e: (0, e))
+
+
+def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
+    """Classical poly-Bernoulli number, polynomial or value, from Kaneko's numbers."""
+    poly = _kaneko_poly(n, k)
+    return poly if _coerce(arg) == X else poly.subst_x(arg)
+
+
+@lru_cache(maxsize=None)
 def fdpb_poly(n: int, k: int) -> BiPoly:
-    """The degree-n polynomial, via the binomial/falling-factorial expansion."""
+    """The degree-n polynomial, sum_m S1(n, m) L^(n-m) B_m^(k)(x), in n^2/2 term pairs."""
     return sum_of_products(
-        (falling_product(X, n - l), fdpb_closed(l, k) * comb(n, l))
-        for l in range(n + 1)
+        (BiPoly({(n - m, 0): stirling1(n, m)}), _kaneko_poly(m, k)) for m in range(n + 1)
     )
 
 
 def fdpb_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
-    """Number, polynomial, or evaluated value, by the cheap expansion route."""
+    """Number, polynomial, or value at arg, from Kaneko's numbers, not a series."""
     arg = _coerce(arg)
     if arg.is_zero():
         return fdpb_closed(n, k)

@@ -1,21 +1,25 @@
 """Reference model of the fdpb closed-sum route: scalar ``Fraction`` loops.
 
 These are the bodies ``fdpb.families`` used before the closed sum moved to
-integer numerators with a memoised Kaneko weight B_l^(k).  Each weight is
+integer numerators with a memoised Kaneko weight B_l^(k), and before the
+polynomial moved to Kaneko's polynomials B_m^(k)(x).  Each weight is
 recomputed for every n, one ``Fraction`` term at a time, so they are slow
 but plainly the paper's formulas; the tests compare the production routes
-against them.
+against them.  Only the finished numbers ``fdpb_closed(n, k)`` are
+memoised, so that the term-by-term expansion reaches n = 30 in seconds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from fdpb.ring import LAM, ONE, X, ZERO, BiPoly, falling_product
 from fdpb.sequences import stirling1, stirling2
 
 
+@lru_cache(maxsize=None)
 def fdpb_closed(n: int, k: int) -> BiPoly:
     """sum_l S1(n, l) L^(n-l) sum_m (-1)^(m+l) m! S2(l, m) (m+1)^(-k)."""
     out = ZERO

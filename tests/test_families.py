@@ -17,6 +17,7 @@ from fdpb.families import (
     fdpb_value,
     fdpb_x_derivative,
     integral_unit_interval,
+    poly_bernoulli_value,
 )
 from fdpb.identities import _negative_route
 from fdpb.sequences import bernoulli, stirling2
@@ -82,6 +83,16 @@ class TestClassicalPolyBernoulli:
     def test_lambda_free(self):
         for n in range(8):
             assert classical_poly_bernoulli(n, 2, X).is_lambda_free()
+
+    @pytest.mark.parametrize(
+        "arg", (0, X, HALF, -1, X + LAM), ids=("0", "x", "1/2", "-1", "x+L")
+    )
+    def test_kaneko_route_matches_series(self, arg):
+        # the CLI's route, sum_l C(n, l) B_l^(k) x^(n-l), against the series
+        for k in K_RANGE:
+            for n in range(31):
+                expected = classical_poly_bernoulli(n, k, arg)
+                assert poly_bernoulli_value(n, k, arg) == expected, (n, k)
 
 
 class TestFdpbNumbers:

@@ -9,6 +9,9 @@ kernels, before exp, log and composition moved to recurrences and baby
 steps and giant steps.  The five ``poly`` commands of the series families
 were captured while each family multiplied its whole quotient series by
 its whole argument series, before one coefficient was read as one sum.
+The last four fdpb and polybernoulli commands were captured under the
+falling-factorial expansion and the composed series, before both families
+were built from Kaneko's polynomials.
 Changes to the arithmetic core must leave every byte as it is.
 """
 
@@ -57,6 +60,17 @@ def _commands() -> list[tuple[str, ...]]:
         ("poly", "--family", "bernoulli", "--n", "28", "--symbolic"),
         ("poly", "--family", "polybernoulli", "--k", "-3", "--n", "28", "--lambda=1/2",
          "--format", "csv"),
+    ]
+    # both poly-Bernoulli families at large n, the fdpb ones with n - 1
+    # Stirling weights and lcm(1..n+1)^k denominators
+    out += [
+        ("poly", "--family", "fdpb", "--k", "-3", "--n", "56", "--symbolic",
+         "--format", "json"),
+        ("poly", "--family", "fdpb", "--k", "2", "--n", "54", "--lambda=-1/2",
+         "--format", "csv"),
+        ("table", "--family", "polybernoulli", "--k", "-3", "--n-max", "28",
+         "--lambda=3", "--format", "csv"),
+        ("poly", "--family", "polybernoulli", "--k", "2", "--n", "24", "--symbolic"),
     ]
     out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
     return out

@@ -1,12 +1,10 @@
 import json
-from fractions import Fraction
-from math import factorial
 
 import pytest
 
 from fdpb import families as fam
 from fdpb import identities
-from fdpb.ring import BiPoly, ONE, ZERO, parse_poly
+from fdpb.ring import ONE, ZERO, parse_poly
 from fdpb.identities import (
     Counterexample,
     EmptyRange,
@@ -17,7 +15,7 @@ from fdpb.identities import (
     check_all,
     reports_to_json,
 )
-from fdpb.sequences import stirling1, stirling2
+from fdpb.sequences import stirling2
 
 SMOKE = dict(n_max=2, k_range=(-1, 2))
 
@@ -70,51 +68,48 @@ class TestCheckAll:
         assert [r.identity for r in reports] == list(IdentityId)
 
 
-class TestMutationSensitivity:
-    def test_sign_flip_in_closed_sum_is_caught(self):
-        # replacing (-1)^(m+l) by (-1)^m must break the dual-route equality
-        # at some n <= 2 already
-        def mutated_closed(n, k):
-            out = ZERO
-            for l in range(n + 1):
-                acc = Fraction(0)
-                for m in range(l + 1):
-                    acc += (
-                        Fraction((-1) ** m * factorial(m) * stirling2(l, m))
-                        * Fraction(m + 1) ** (-k)
-                    )
-                out = out + BiPoly({(n - l, 0): acc * stirling1(n, l)})
-            return out
-
-        assert any(
-            mutated_closed(n, 1) != fam.fdpb_gf(n, 1) for n in range(3)
-        )
-
-    def test_index_bound_mutation_is_caught(self):
-        # dropping the l = n term of the outer sum breaks the identity
-        def truncated_closed(n, k):
-            out = ZERO
-            for l in range(n):
-                acc = Fraction(0)
-                for m in range(l + 1):
-                    acc += (
-                        Fraction((-1) ** (m + l) * factorial(m) * stirling2(l, m))
-                        * Fraction(m + 1) ** (-k)
-                    )
-                out = out + BiPoly({(n - l, 0): acc * stirling1(n, l)})
-            return out
-
-        assert any(
-            truncated_closed(n, 1) != fam.fdpb_gf(n, 1) for n in range(3)
-        )
-
-
 def _perturbed(fn, at):
     """fn, plus one at the arguments ``at``."""
     return lambda *args: fn(*args) + ONE if args == at else fn(*args)
 
 
+@pytest.fixture
+def patch_kaneko(monkeypatch):
+    """Patch a name in families, with the caches built on Kaneko's numbers
+    cleared before the patch and after the test, so that no value computed
+    before it hides the patch and none computed under it outlives it."""
+    caches = (fam._kaneko, fam.fdpb_closed, fam._kaneko_poly, fam.fdpb_poly)
+
+    def patch(name, value):
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(fam, name, value)
+
+    yield patch
+    for cache in caches:
+        cache.cache_clear()
+
+
 class TestPerturbationIsCaught:
+    def test_kaneko_sign_flip(self, patch_kaneko):
+        # B_3^(2) = -1/24, so the flip moves every fdpb_closed(n, 2), n >= 3
+        original = fam._kaneko
+
+        def flipped(l, k):
+            num, den = original(l, k)
+            return (-num if (l, k) == (3, 2) else num), den
+
+        patch_kaneko("_kaneko", flipped)
+        report = check("THM4_CLOSED", n_max=5, k_range=(2, 2))
+        assert not report.passed
+        assert report.counterexample.n == 3
+
+    def test_kaneko_polynomial(self, patch_kaneko):
+        patch_kaneko("_kaneko_poly", _perturbed(fam._kaneko_poly, (4, 2)))
+        report = check("THM1_LIMIT", n_max=6, k_range=(2, 2))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (4, 2)
+
     def test_addition(self, monkeypatch):
         monkeypatch.setattr(fam, "fdpb_poly", _perturbed(fam.fdpb_poly, (5, 1)))
         report = check("THM1_ADDITION", n_max=6, k_range=(1, 1))
