@@ -170,8 +170,10 @@ def _kaneko_poly(m: int, k: int) -> BiPoly:
 
 def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     """Classical poly-Bernoulli number, polynomial or value, from Kaneko's numbers."""
-    poly = _kaneko_poly(n, k)
-    return poly if _coerce(arg) == X else poly.subst_x(arg)
+    arg = _coerce(arg)
+    if arg.is_zero():
+        return BiPoly.const(Fraction(*_kaneko(n, k)))
+    return _kaneko_poly(n, k) if arg == X else _kaneko_poly(n, k).subst_x(arg)
 
 
 @lru_cache(maxsize=None)
@@ -187,9 +189,7 @@ def fdpb_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     arg = _coerce(arg)
     if arg.is_zero():
         return fdpb_closed(n, k)
-    if arg == X:
-        return fdpb_poly(n, k)
-    return fdpb_poly(n, k).subst_x(arg)
+    return fdpb_poly(n, k) if arg == X else fdpb_poly(n, k).subst_x(arg)
 
 
 def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:
