@@ -68,12 +68,15 @@ def _record(family: str, n: int, k: Optional[int], mode: str, value: str) -> dic
     return rec
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+def _emit(parser: argparse.ArgumentParser, text: str, out_path: Optional[str]) -> None:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write --out: {exc}")
 
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -90,9 +93,10 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         rows.append(_record(args.family, n, args.k, mode, canonical_string(value)))
     if args.format == "csv":
         lines = ["n,value"] + [f"{r['n']},{r['value']}" for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+        text = json.dumps(rows, indent=2) + "\n"
+    _emit(parser, text, args.out)
     return 0
 
 
@@ -106,15 +110,13 @@ def cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         value = value.eval_at(lam=args.lam)
     rendered = canonical_string(value)
     if args.format == "json":
-        _emit(
-            json.dumps(_record(args.family, args.n, args.k, mode, rendered), indent=2)
-            + "\n",
-            args.out,
-        )
+        record = _record(args.family, args.n, args.k, mode, rendered)
+        text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
-        _emit(f"n,value\n{args.n},{rendered}\n", args.out)
+        text = f"n,value\n{args.n},{rendered}\n"
     else:
-        _emit(rendered + "\n", args.out)
+        text = rendered + "\n"
+    _emit(parser, text, args.out)
     return 0
 
 

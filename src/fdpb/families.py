@@ -31,7 +31,7 @@ from math import comb, factorial, lcm
 
 from . import fps
 from .ring import (
-    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, falling_product, sum_of_products
+    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _key, falling_product, sum_of_products
 )
 from .sequences import (
     bernoulli_second_kind, bernoulli_series, stirling1, stirling2, work_order
@@ -159,13 +159,13 @@ def _kaneko_sum(n: int, k: int, weight, key) -> BiPoly:
 @lru_cache(maxsize=None)
 def fdpb_closed(n: int, k: int) -> BiPoly:
     """Fully degenerate poly-Bernoulli number, sum_l S1(n, l) L^(n-l) B_l^(k)."""
-    return _kaneko_sum(n, k, stirling1, lambda e: (e, 0))
+    return _kaneko_sum(n, k, stirling1, lambda e: _key(e, 0))
 
 
 @lru_cache(maxsize=None)
 def _kaneko_poly(m: int, k: int) -> BiPoly:
     """Kaneko's poly-Bernoulli polynomial B_m^(k)(x) = sum_l C(m, l) B_l^(k) x^(m-l)."""
-    return _kaneko_sum(m, k, comb, lambda e: (0, e))
+    return _kaneko_sum(m, k, comb, lambda e: _key(0, e))
 
 
 def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, isqrt
 
-from .ring import ONE, ZERO, BiPoly, Packed, RatLike, _pack, _sum_packed
+from .ring import ONE, ZERO, BiPoly, RatLike, _coerce, sum_of_products
 
 
 class SeriesError(Exception):
@@ -50,19 +50,13 @@ class OrderExceeded(SeriesError):
     """Requested a coefficient beyond the truncation order."""
 
 
-def _coerce_poly(value: BiPoly | RatLike) -> BiPoly:
-    if isinstance(value, BiPoly):
-        return value
-    return BiPoly.const(value)
-
-
 class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: list[BiPoly | RatLike] | tuple):
         if not coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
-        self._coeffs = tuple(_coerce_poly(c) for c in coeffs)
+        self._coeffs = tuple(_coerce(c) for c in coeffs)
 
     @classmethod
     def constant(cls, value: BiPoly | RatLike, order: int) -> Series:
@@ -118,11 +112,10 @@ class Series:
 
     def __mul__(self, other: Series | BiPoly | RatLike) -> Series:
         if not isinstance(other, Series):
-            c = _coerce_poly(other)
+            c = _coerce(other)
             return Series([a * c for a in self._coeffs])
         n = min(self.order, other.order) + 1
-        a, b = _pack_all(self._coeffs[:n]), _pack_all(other._coeffs[:n])
-        return Series(_product(a, b))
+        return Series(_product(self._coeffs[:n], other._coeffs[:n]))
 
     __rmul__ = __mul__
 
@@ -152,24 +145,18 @@ def series_div(f: Series, g: Series) -> Series:
     n = min(f.order, g.order) - v
     lead_inv = Fraction(1) / lead.constant()
     fs = f.coeffs[v:]
-    gs = [_pack(c) for c in g.coeffs[v : v + n + 1]]
+    gs = g.coeffs[v : v + n + 1]
     q: list[BiPoly] = []
-    packed_q = []
     for m in range(n + 1):
-        acc = fs[m] - _sum_packed([(packed_q[i], gs[m - i]) for i in range(m)])
+        acc = fs[m] - sum_of_products((q[i], gs[m - i]) for i in range(m))
         q.append(acc * lead_inv)
-        packed_q.append(_pack(q[-1]))
     return Series(q)
 
 
-def _pack_all(coeffs) -> list[Packed]:
-    return [_pack(c) for c in coeffs]
-
-
-def _product(a: list[Packed], b: list[Packed]) -> list[BiPoly]:
-    """Coefficients of the product of two packed series of one order."""
+def _product(a, b) -> list[BiPoly]:
+    """Coefficients of the product of two coefficient sequences of one length."""
     return [
-        _sum_packed([(a[i], b[m - i]) for i in range(m + 1)]) for m in range(len(a))
+        sum_of_products((a[i], b[m - i]) for i in range(m + 1)) for m in range(len(a))
     ]
 
 
@@ -184,22 +171,21 @@ def series_compose(outer: Series, inner: Series) -> Series:
         raise NonzeroConstantTerm("inner series must have zero constant term")
     n = min(outer.order, inner.order)
     s = isqrt(n) + 1
-    step = _pack_all(inner.coeffs[: n + 1])
-    powers = [[_pack(ONE)] + [_pack(ZERO)] * n]
+    step = inner.coeffs[: n + 1]
+    powers = [[ONE] + [ZERO] * n]
     while len(powers) <= s:
-        powers.append(_pack_all(_product(powers[-1], step)))
+        powers.append(_product(powers[-1], step))
     giant = powers.pop()[s:]
-    c = _pack_all(outer.coeffs[: n + 1])
-    above: list[Packed] = []
+    c = outer.coeffs[: n + 1]
+    above: list[BiPoly] = []
     for j in range(n // s, -1, -1):
         base = j * s
         out = []
         for m in range(n - base + 1):
             pairs = [(c[base + i], powers[i][m]) for i in range(min(s, m + 1))]
             pairs += [(above[i], giant[m - s - i]) for i in range(m - s + 1)]
-            out.append(_sum_packed(pairs))
-        if j:
-            above = _pack_all(out)
+            out.append(sum_of_products(pairs))
+        above = out
     return Series(out)
 
 
@@ -216,12 +202,11 @@ def series_exp(f: Series) -> Series:
     """g = exp f by n g_n = sum_{k=1}^{n} k f_k g_{n-k} (Brent & Kung), O(N^2)."""
     if not f.coeff(0).is_zero():
         raise BadConstantTerm("exp needs constant term 0")
-    df = _pack_all(c * k for k, c in enumerate(f.coeffs))
-    g, out = [_pack(ONE)], [ONE]
+    df = [c * k for k, c in enumerate(f.coeffs)]
+    g = [ONE]
     for m in range(1, f.order + 1):
-        out.append(_sum_packed([(df[k], g[m - k]) for k in range(1, m + 1)]) / m)
-        g.append(_pack(out[-1]))
-    return Series(out)
+        g.append(sum_of_products((df[k], g[m - k]) for k in range(1, m + 1)) / m)
+    return Series(g)
 
 
 def series_integrate(f: Series) -> Series:
@@ -242,7 +227,7 @@ def degenerate_pow(mu: BiPoly | RatLike, order: int) -> Series:
     Its EGF coefficient n is the generalized falling factorial
     mu (mu - L) ... (mu - (n-1) L); at L = 0 the series is exp(mu t).
     """
-    mu = _coerce_poly(mu)
+    mu = _coerce(mu)
     coeffs = []
     acc = ONE
     for n in range(order + 1):
@@ -261,7 +246,7 @@ def lambda_log(order: int) -> Series:
 
 def exp_t(mu: BiPoly | RatLike, order: int) -> Series:
     """The series exp(mu t) with polynomial mu."""
-    mu = _coerce_poly(mu)
+    mu = _coerce(mu)
     coeffs = []
     acc = ONE
     for n in range(order + 1):
@@ -277,4 +262,4 @@ def egf_coeff(f: Series, n: int) -> BiPoly:
 
 def egf_series(coeffs: list[BiPoly | RatLike]) -> Series:
     """Build a series from EGF coefficients (a_n stored as a_n / n!)."""
-    return Series([_coerce_poly(c) / factorial(n) for n, c in enumerate(coeffs)])
+    return Series([_coerce(c) / factorial(n) for n, c in enumerate(coeffs)])

@@ -337,8 +337,6 @@ def check(
     cells = 0
     for n, k, lhs, rhs in _CHECKERS[identity](n_max, range(k_min, k_max + 1)):
         cells += 1
-        lhs = lhs if isinstance(lhs, BiPoly) else BiPoly.const(lhs)
-        rhs = rhs if isinstance(rhs, BiPoly) else BiPoly.const(rhs)
         if lhs != rhs:
             counterexample = Counterexample(n=n, k=k, lhs=lhs, rhs=rhs)
             break

@@ -6,16 +6,16 @@ over the rationals, with two formal variables: the degeneracy parameter
 ``fractions.Fraction``.
 
 A :class:`BiPoly` stores integer numerators over one shared denominator:
-a sparse map from exponent pairs ``(L-degree, x-degree)`` to nonzero
-``int`` numerators, and one positive ``int`` denominator.  The pair is
-kept canonical (no zero numerators, and the gcd of the denominator and
-every numerator is 1), so structural equality and hashing are exact.
-Each operation works in integers and normalises its result once, with a
-single gcd; :func:`sum_of_products` does the same for a whole sum of
-products.  Series multiplication and division, where such sums are the
-inner loop, pack each coefficient once (``_pack``) and sum the packed
-pairs (``_sum_packed``).
-Coefficients are handed out as ``Fraction``.
+a sparse map from term keys to nonzero ``int`` numerators, and one
+positive ``int`` denominator.  The key of the term L^l x^d is the single
+int ``d << 32 | l``, made from exponents only by :func:`_key`, so
+multiplying two terms adds their keys.  The pair is kept canonical (no
+zero numerators, and the gcd of the denominator and every numerator is
+1), so structural equality and hashing are exact.  Each operation works
+in integers and normalises its result once, with a single gcd;
+:func:`sum_of_products`, the one product kernel, does the same for a
+whole sum of products.  The public methods take and hand out exponent
+pairs ``(L-degree, x-degree)`` and ``Fraction`` coefficients.
 
 Values are immutable after construction and safe to share.
 """
@@ -33,10 +33,15 @@ RatLike = int | Fraction
 
 Key = tuple[int, int]
 
-# products pack a key (l, x) into the int l << _XBITS | x, so that adding
-# two keys is one integer addition; x-degrees stay far below 2**_XBITS
+# the term L^l x^d is stored under the int d << _XBITS | l: the product of
+# two terms is the sum of their keys, and descending keys run by x-degree
+# then L-degree; L-degrees stay far below 2**_XBITS
 _XBITS = 32
-_XMASK = (1 << _XBITS) - 1
+_LMASK = (1 << _XBITS) - 1
+
+
+def _key(l_deg: int, x_deg: int) -> int:
+    return x_deg << _XBITS | l_deg
 
 
 def _rat(value: RatLike) -> Fraction:
@@ -45,7 +50,7 @@ def _rat(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
-def _canonical(num: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
+def _canonical(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     """Drop zero numerators and divide out the common gcd (``den > 0``)."""
     if 0 in num.values():
         num = {key: c for key, c in num.items() if c}
@@ -64,15 +69,15 @@ class _Coefficients(Mapping):
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num: dict[Key, int], den: int):
+    def __init__(self, num: dict[int, int], den: int):
         self._num = num
         self._den = den
 
     def __getitem__(self, key: Key) -> Fraction:
-        return Fraction(self._num[key], self._den)
+        return Fraction(self._num[_key(*key)], self._den)
 
     def __iter__(self):
-        return iter(self._num)
+        return ((key & _LMASK, key >> _XBITS) for key in self._num)
 
     def __len__(self) -> int:
         return len(self._num)
@@ -81,20 +86,20 @@ class _Coefficients(Mapping):
 class BiPoly:
     """Sparse bivariate polynomial with exact rational coefficients.
 
-    Coefficient ``(l_deg, x_deg)`` is ``_num[(l_deg, x_deg)] / _den``,
+    Coefficient ``(l_deg, x_deg)`` is ``_num[_key(l_deg, x_deg)] / _den``,
     in the canonical form described in the module docstring.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: dict[Key, RatLike] | None = None):
-        rats = {key: _rat(c) for key, c in terms.items()} if terms else {}
+        rats = {_key(*key): _rat(c) for key, c in terms.items()} if terms else {}
         den = lcm(*(c.denominator for c in rats.values()))
         num = {key: c.numerator * (den // c.denominator) for key, c in rats.items()}
         self._num, self._den = _canonical(num, den)
 
     @classmethod
-    def _make(cls, num: dict[Key, int], den: int) -> BiPoly:
+    def _make(cls, num: dict[int, int], den: int) -> BiPoly:
         """The polynomial num / den, from integer numerators and den > 0."""
         p = object.__new__(cls)
         p._num, p._den = _canonical(num, den)
@@ -113,16 +118,16 @@ class BiPoly:
         return _Coefficients(self._num, self._den).items()
 
     def coeff(self, l_deg: int, x_deg: int) -> Fraction:
-        return Fraction(self._num.get((l_deg, x_deg), 0), self._den)
+        return Fraction(self._num.get(_key(l_deg, x_deg), 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._num
 
     def is_constant(self) -> bool:
-        return all(key == (0, 0) for key in self._num)
+        return all(key == 0 for key in self._num)
 
     def is_lambda_free(self) -> bool:
-        return all(ld == 0 for ld, _ in self._num)
+        return all(key & _LMASK == 0 for key in self._num)
 
     def constant(self) -> Fraction:
         """The rational value of a constant polynomial.
@@ -134,22 +139,23 @@ class BiPoly:
         return self.coeff(0, 0)
 
     def lambda_degree(self) -> int:
-        return max((ld for ld, _ in self._num), default=0)
+        return max((key & _LMASK for key in self._num), default=0)
 
     def x_degree(self) -> int:
-        return max((xd for _, xd in self._num), default=0)
+        return max(self._num, default=0) >> _XBITS
 
     def x_coeff(self, x_deg: int) -> BiPoly:
         """Coefficient of x**x_deg, as a polynomial in L only."""
         return BiPoly._make(
-            {(ld, 0): c for (ld, xd), c in self._num.items() if xd == x_deg}, self._den
+            {key & _LMASK: c for key, c in self._num.items() if key >> _XBITS == x_deg},
+            self._den,
         )
 
     def x_coeffs(self) -> list[BiPoly]:
         """The coefficients of x^0 .. x^x_degree(), found in one scan."""
-        parts: list[dict[Key, int]] = [{} for _ in range(self.x_degree() + 1)]
-        for (ld, xd), c in self._num.items():
-            parts[xd][(ld, 0)] = c
+        parts: list[dict[int, int]] = [{} for _ in range(self.x_degree() + 1)]
+        for key, c in self._num.items():
+            parts[key >> _XBITS][key & _LMASK] = c
         return [BiPoly._make(num, self._den) for num in parts]
 
     def __bool__(self) -> bool:
@@ -228,15 +234,14 @@ class BiPoly:
         if x is not None:
             x_pow, scale = _scaled_powers(_rat(x), self.x_degree())
             den *= scale
-        num: dict[Key, int] = {}
-        for (ld, xd), c in self._num.items():
+        num: dict[int, int] = {}
+        for key, c in self._num.items():
             if l_pow is not None:
-                c *= l_pow[ld]
-                ld = 0
+                c *= l_pow[key & _LMASK]
+                key &= ~_LMASK
             if x_pow is not None:
-                c *= x_pow[xd]
-                xd = 0
-            key = (ld, xd)
+                c *= x_pow[key >> _XBITS]
+                key &= _LMASK
             num[key] = num.get(key, 0) + c
         return BiPoly._make(num, den)
 
@@ -250,26 +255,28 @@ class BiPoly:
 
     def derivative_x(self) -> BiPoly:
         return BiPoly._make(
-            {(ld, xd - 1): c * xd for (ld, xd), c in self._num.items() if xd > 0},
+            {
+                key - (1 << _XBITS): c * (key >> _XBITS)
+                for key, c in self._num.items()
+                if key >> _XBITS
+            },
             self._den,
         )
 
     def integrate_x_unit(self) -> BiPoly:
         """Definite integral over x in [0, 1]; result is a polynomial in L."""
-        scale = lcm(*(xd + 1 for _, xd in self._num))
-        num: dict[Key, int] = {}
-        for (ld, xd), c in self._num.items():
-            key = (ld, 0)
-            num[key] = num.get(key, 0) + c * (scale // (xd + 1))
+        scale = lcm(*((key >> _XBITS) + 1 for key in self._num))
+        num: dict[int, int] = {}
+        for key, c in self._num.items():
+            ld = key & _LMASK
+            num[ld] = num.get(ld, 0) + c * (scale // ((key >> _XBITS) + 1))
         return BiPoly._make(num, self._den * scale)
 
     def div_exact_lambda(self) -> BiPoly:
         """Divide by L, requiring every term to carry a factor of L."""
-        if any(ld == 0 for ld, _ in self._num):
+        if not all(key & _LMASK for key in self._num):
             raise ValueError(f"not divisible by L: {self}")
-        return BiPoly._make(
-            {(ld - 1, xd): c for (ld, xd), c in self._num.items()}, self._den
-        )
+        return BiPoly._make({key - 1: c for key, c in self._num.items()}, self._den)
 
     def __repr__(self) -> str:
         return f"BiPoly({canonical_string(self)!r})"
@@ -295,48 +302,30 @@ def _scaled_powers(value: Fraction, top: int) -> tuple[list[int], int]:
     return [p_pow[d] * q_pow[top - d] for d in range(top + 1)], q_pow[top]
 
 
-Packed = tuple[list[tuple[int, int]], int]
+def sum_of_products(pairs: Iterable[tuple[BiPoly, BiPoly]]) -> BiPoly:
+    """The sum of a * b over the pairs, normalised once.
 
-
-def _pack(p: BiPoly) -> Packed:
-    """p's (packed key, numerator) pairs and its denominator, for _accumulate."""
-    return [((l << _XBITS) | x, c) for (l, x), c in p._num.items()], p._den
-
-
-def _accumulate(pairs: Iterable[tuple[Packed, Packed]], den: int) -> BiPoly:
-    """The sum of a * b over packed pairs, over den (a multiple of each da * db)."""
+    Every product is accumulated in integers over the lcm of the products'
+    denominators, so the whole sum costs one gcd, not one per term; the
+    product of two terms is keyed by the sum of their keys.  This is the
+    ring's one product kernel: BiPoly multiplication, subst_x and every
+    series operation go through it.
+    """
+    pairs = [(a, b) for a, b in pairs if a._num and b._num]
+    den = lcm(*(a._den * b._den for a, b in pairs))
     acc: dict[int, int] = {}
     get = acc.get
-    for (ta, da), (tb, db) in pairs:
+    for a, b in pairs:
+        scale = den // (a._den * b._den)
+        ta, tb = a._num.items(), b._num.items()
         if len(ta) > len(tb):
             ta, tb = tb, ta
-        scale = den // (da * db)
         for ka, ca in ta:
             ca *= scale
             for kb, cb in tb:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
-    return BiPoly._make({(k >> _XBITS, k & _XMASK): c for k, c in acc.items()}, den)
-
-
-def _sum_packed(pairs: list[tuple[Packed, Packed]]) -> BiPoly:
-    """The sum of a * b over pairs of packed polynomials, normalised once."""
-    den = lcm(*(da * db for (ta, da), (tb, db) in pairs if ta and tb))
-    return _accumulate(pairs, den)
-
-
-def sum_of_products(pairs: Iterable[tuple[BiPoly, BiPoly]]) -> BiPoly:
-    """The sum of a * b over the pairs, normalised once.
-
-    Every product is accumulated in integers over the lcm of the products'
-    denominators, so the whole sum costs one gcd, not one per term.  Each
-    factor is packed only while its product is summed; series code, which
-    reuses every coefficient in many sums, packs them once and calls
-    _sum_packed.
-    """
-    pairs = [(a, b) for a, b in pairs if a._num and b._num]
-    den = lcm(*(a._den * b._den for a, b in pairs))
-    return _accumulate(((_pack(a), _pack(b)) for a, b in pairs), den)
+    return BiPoly._make(acc, den)
 
 
 ZERO = BiPoly()
@@ -378,8 +367,10 @@ def canonical_string(p: BiPoly) -> str:
     """Deterministic rendering: terms by x-degree then L-degree, descending."""
     if p.is_zero():
         return "0"
-    keys = sorted(p._num, key=lambda k: (-k[1], -k[0]))
-    return " + ".join(_term_string(ld, xd, p._num[(ld, xd)], p._den) for ld, xd in keys)
+    return " + ".join(
+        _term_string(key & _LMASK, key >> _XBITS, p._num[key], p._den)
+        for key in sorted(p._num, reverse=True)
+    )
 
 
 def parse_poly(text: str) -> BiPoly:
@@ -406,6 +397,8 @@ def parse_poly(text: str) -> BiPoly:
                 x_deg += int(factor[2:])
             else:
                 coeff *= Fraction(factor)
+        if l_deg < 0 or x_deg < 0:
+            raise ValueError(f"negative exponent in {term!r}")
         key = (l_deg, x_deg)
         terms[key] = terms.get(key, 0) + coeff
     return BiPoly(terms)

@@ -88,6 +88,39 @@ class TestTable:
         assert target.read_text().startswith("n,value\n")
 
 
+TABLE = ("table", "--family", "fdpb", "--k", "2", "--n-max", "3")
+POLY = ("poly", "--family", "fdpb", "--k", "2", "--n", "3")
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv", [TABLE, POLY])
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.csv"
+        assert run_expect_usage_error(*argv, "--out", str(target)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write --out" in captured.err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            TABLE,
+            TABLE + ("--format", "json"),
+            POLY,
+            POLY + ("--format", "json"),
+            POLY + ("--format", "csv", "--lambda", "-1/2"),
+        ],
+    )
+    def test_out_gets_the_stdout_bytes(self, capsys, tmp_path, argv):
+        _, printed = run(capsys, *argv)
+        target = tmp_path / "out.txt"
+        code, out = run(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert out == ""
+        assert target.read_bytes() == printed.encode()
+
+
 class TestPoly:
     def test_fdpb_symbolic(self, capsys):
         code, out = run(

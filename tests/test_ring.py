@@ -116,6 +116,11 @@ class TestCanonicalString:
     def test_parse_roundtrip(self, p):
         assert parse_poly(canonical_string(p)) == p
 
+    @pytest.mark.parametrize("text", ["L^-1", "x^-2*L", "3*L*x^-1 + 1"])
+    def test_parse_rejects_negative_exponents(self, text):
+        with pytest.raises(ValueError):
+            parse_poly(text)
+
 
 class TestStructuralHelpers:
     def test_subst_x_shift(self):

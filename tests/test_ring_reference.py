@@ -107,7 +107,18 @@ class TestStructural:
         assert_same(p.integrate_x_unit(), r.integrate_x_unit())
         for d in range(5):
             assert_same(p.x_coeff(d), r.x_coeff(d))
-            assert p.coeff(1, d) == r.coeff(1, d)
+            for l in range(5):
+                assert p.coeff(l, d) == r.coeff(l, d)
+        parts = p.x_coeffs()
+        assert len(parts) == r.x_degree() + 1
+        for d, part in enumerate(parts):
+            assert_same(part, r.x_coeff(d))
+        assert p.x_degree() == r.x_degree()
+        assert p.lambda_degree() == r.lambda_degree()
+        assert p.is_constant() == r.is_constant()
+        if r.is_constant():
+            assert p.constant() == r.constant()
+        assert p.is_lambda_free() == r.is_lambda_free()
         assert len(p.items()) == len(r.items())
         assert dict(p.items()) == dict(r.items())
 
