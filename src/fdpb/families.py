@@ -17,10 +17,12 @@ beta_n^(k)(x) = sum_m S1(n, m) L^(n-m) B_m^(k)(x).  Both are much cheaper
 than their generating functions, which stay available as the oracles.
 
 Each generating function is an argument-free quotient q(t) times an
-argument series A(t), e^{arg t} or (1+Lt)^{arg/L}.  The longest q built so
-far is kept per family (and per k) and serves every smaller n.  A value
-n! [t^n] q A is one fused sum of q_j a_(n-j), with the a_j cached per
-(arg, order) for all families, or n! q_n at arg = 0.
+argument series A(t), e^{arg t} or (1+Lt)^{arg/L}.  The two polylogarithm
+quotients Li_k(z)/z are built from the differential equation of z, not by
+composing a series in z.  The longest q built so far is kept per family
+(and per k) and serves every smaller n.  A value n! [t^n] q A is one
+fused sum of q_j a_(n-j), with the a_j cached per (arg, order) for all
+families, or n! q_n at arg = 0.
 """
 
 from __future__ import annotations
@@ -108,14 +110,35 @@ def daehee_type_b(n: int, arg: ArgLike = 0) -> BiPoly:
     return _read(n, arg, fps.degenerate_pow, _daehee_quotient)
 
 
-def _polylog_over_z(k: int, z: fps.Series) -> fps.Series:
-    # Li_k(z)/z = sum_{m>=0} z^m / (m+1)^k, which avoids a division
-    terms = [Fraction(m + 1) ** -k for m in range(z.order + 1)]
-    return fps.series_compose(fps.Series(terms), z)
+def _polylog_over_z(k: int, lam: BiPoly, order: int) -> fps.Series:
+    """Li_k(z)/z = sum_m z^m / (m+1)^k at z = 1 - (1 + lam t)^(-1/lam), uncomposed.
+
+    z solves (1 + lam t) z' = 1 - z (at lam = 0, z = 1 - e^(-t)), so
+    u_m(n) = n!/m! [t^n] z^m obeys u_m(n) = u_(m-1)(n-1) - (m + lam (n-1)) u_m(n-1),
+    with u_n(n) = 1 and u_0(n) = 0 for n >= 1, and the quotient's
+    coefficient n is (1/n!) sum_m m! (m+1)^(-k) u_m(n).  One column
+    u_.(n) is kept as n runs upward.
+    """
+    weights = [
+        BiPoly.const(factorial(m) * Fraction(m + 1) ** -k) for m in range(order + 1)
+    ]
+    minus = [BiPoly.const(-m) for m in range(order + 1)]
+    column = [ONE]
+    coeffs = [ONE]
+    for n in range(1, order + 1):
+        step = lam * (1 - n)
+        column = [ZERO] + [
+            sum_of_products(
+                ((column[m - 1], ONE), (column[m], minus[m]), (column[m], step))
+            )
+            for m in range(1, n)
+        ] + [ONE]
+        coeffs.append(sum_of_products(zip(weights, column)) / factorial(n))
+    return fps.Series(coeffs)
 
 
 def _poly_bernoulli_quotient(k: int, order: int) -> fps.Series:
-    return _polylog_over_z(k, fps.Series.constant(ONE, order) - fps.exp_t(-1, order))
+    return _polylog_over_z(k, ZERO, order)
 
 
 def classical_poly_bernoulli(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
@@ -124,8 +147,7 @@ def classical_poly_bernoulli(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
 
 
 def _fdpb_quotient(k: int, order: int) -> fps.Series:
-    z = fps.Series.constant(ONE, order) - fps.degenerate_pow(-1, order)
-    return _polylog_over_z(k, z)
+    return _polylog_over_z(k, LAM, order)
 
 
 def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:

@@ -94,6 +94,9 @@ class BiPoly:
 
     def __init__(self, terms: dict[Key, RatLike] | None = None):
         rats = {_key(*key): _rat(c) for key, c in terms.items()} if terms else {}
+        if rats and min(rats) < 0:
+            # a key is negative exactly when one of its exponents is
+            raise ValueError(f"negative exponent in {sorted(terms)}")
         den = lcm(*(c.denominator for c in rats.values()))
         num = {key: c.numerator * (den // c.denominator) for key, c in rats.items()}
         self._num, self._den = _canonical(num, den)
@@ -397,8 +400,6 @@ def parse_poly(text: str) -> BiPoly:
                 x_deg += int(factor[2:])
             else:
                 coeff *= Fraction(factor)
-        if l_deg < 0 or x_deg < 0:
-            raise ValueError(f"negative exponent in {term!r}")
         key = (l_deg, x_deg)
         terms[key] = terms.get(key, 0) + coeff
     return BiPoly(terms)

@@ -20,8 +20,8 @@ from math import factorial
 
 from . import fps
 from .ring import LAM, ONE, X, ZERO, BiPoly, RatLike, canonical_string, sum_of_products
-from .families import RouteMismatch, fdpb_poly
-from .sequences import polylog_series, stirling2
+from .families import RouteMismatch, _polylog_over_z, fdpb_poly
+from .sequences import stirling2
 
 
 def pair(f: fps.Series, p: BiPoly) -> BiPoly:
@@ -50,8 +50,9 @@ def lambda_difference(p: BiPoly) -> BiPoly:
 @lru_cache(maxsize=None)
 def sheffer_invertible(k: int, order: int) -> fps.Series:
     """g(t) = (1 - e^{-t}) / Li_k(1 - e^{-t}); order drops by one."""
-    z = fps.Series.constant(ONE, order) - fps.exp_t(-1, order)
-    return fps.series_div(z, polylog_series(k, z))
+    return fps.series_div(
+        fps.Series.constant(ONE, order - 1), _polylog_over_z(k, ZERO, order - 1)
+    )
 
 
 @lru_cache(maxsize=None)

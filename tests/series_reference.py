@@ -2,7 +2,8 @@
 
 These are the bodies ``fdpb.fps``, ``fdpb.families`` and
 ``fdpb.sequences`` used before exp, log and composition moved to
-coefficient recurrences and baby-step/giant-step composition.  Each one
+coefficient recurrences and baby-step/giant-step composition, and the
+polylogarithm quotients to the differential equation of their argument.  Each one
 forms every power of its argument with a full series product, so they
 are O(N) products and slow, but they are plainly the textbook power
 series; the tests compare the production kernels against them.
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from fdpb.fps import BadConstantTerm, NonzeroConstantTerm, Series
-from fdpb.ring import ONE, ZERO
+from fdpb.ring import ONE, ZERO, BiPoly
 
 
 def series_compose(outer: Series, inner: Series) -> Series:
@@ -67,6 +68,17 @@ def polylog_over_z(k: int, z: Series) -> Series:
         out = out + power * (Fraction(m + 1) ** (-k))
         power = power * z
     return out
+
+
+def degenerate_argument(lam: BiPoly, order: int) -> Series:
+    """z = 1 - (1 + lam t)^(-1/lam), from the binomial coefficients
+    (-1)(-1 - lam) ... (-1 - (n-1) lam) / n! of the power."""
+    coeffs = [ZERO]
+    acc = ONE
+    for n in range(1, order + 1):
+        acc = acc * (-ONE - lam * (n - 1))
+        coeffs.append(-acc / factorial(n))
+    return Series(coeffs)
 
 
 def polylog_series(k: int, inner: Series) -> Series:

@@ -4,6 +4,7 @@ import pytest
 
 from fdpb import families as fam
 from fdpb import identities
+from fdpb.fps import Series
 from fdpb.ring import ONE, ZERO, parse_poly
 from fdpb.identities import (
     Counterexample,
@@ -90,6 +91,29 @@ def patch_kaneko(monkeypatch):
         cache.cache_clear()
 
 
+@pytest.fixture
+def patch_quotient(monkeypatch):
+    """Patch a quotient builder in families, with the quotient memo cleared
+    before the patch and after the test."""
+
+    def patch(name, coefficient, k):
+        original = getattr(fam, name)
+
+        def perturbed(k_, order):
+            series = original(k_, order)
+            if k_ != k or order < coefficient:
+                return series
+            coeffs = list(series.coeffs)
+            coeffs[coefficient] += ONE
+            return Series(coeffs)
+
+        fam._quotients.clear()
+        monkeypatch.setattr(fam, name, perturbed)
+
+    yield patch
+    fam._quotients.clear()
+
+
 class TestPerturbationIsCaught:
     def test_kaneko_sign_flip(self, patch_kaneko):
         # B_3^(2) = -1/24, so the flip moves every fdpb_closed(n, 2), n >= 3
@@ -109,6 +133,18 @@ class TestPerturbationIsCaught:
         report = check("THM1_LIMIT", n_max=6, k_range=(2, 2))
         assert not report.passed
         assert (report.counterexample.n, report.counterexample.k) == (4, 2)
+
+    def test_fdpb_quotient(self, patch_quotient):
+        patch_quotient("_fdpb_quotient", 3, 2)
+        report = check("THM4_CLOSED", n_max=5, k_range=(1, 3))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (3, 2)
+
+    def test_poly_bernoulli_quotient(self, patch_quotient):
+        patch_quotient("_poly_bernoulli_quotient", 4, -1)
+        report = check("THM1_LIMIT", n_max=6, k_range=(-2, 0))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (4, -1)
 
     def test_addition(self, monkeypatch):
         monkeypatch.setattr(fam, "fdpb_poly", _perturbed(fam.fdpb_poly, (5, 1)))

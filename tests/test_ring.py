@@ -121,6 +121,12 @@ class TestCanonicalString:
         with pytest.raises(ValueError):
             parse_poly(text)
 
+    @pytest.mark.parametrize("terms", [{(-1, 0): 1}, {(0, -2): 3, (1, 1): 1}, {(-1, 0): 0}])
+    def test_constructor_rejects_negative_exponents(self, terms):
+        # a negative exponent would pack into a key of other degrees
+        with pytest.raises(ValueError):
+            BiPoly(terms)
+
 
 class TestStructuralHelpers:
     def test_subst_x_shift(self):

@@ -5,7 +5,11 @@
 to coefficient recurrences and composition to baby steps and giant
 steps.  On random series with bivariate coefficients every kernel must
 give the same series.  Orders run over 0..24; the orders where N + 1 is
-a perfect square (0, 3, 8, 15, 24) fill their last block exactly.
+a perfect square (0, 3, 8, 15, 24) fill their last block exactly.  The
+polylogarithm quotient Li_k(z)/z of ``fdpb.families``, built from the
+differential equation of z = 1 - (1 + lam t)^(-1/lam), is compared with
+the power sum in z for a random lam, and for the families' own lam = L
+and lam = 0 at every order 0..32.
 """
 
 from fractions import Fraction
@@ -70,8 +74,9 @@ class TestPolylogs:
     @given(data=st.data())
     @settings(max_examples=5, deadline=None)
     def test_polylog_over_z(self, k, data):
-        z = data.draw(series(data.draw(orders), ZERO))
-        assert families._polylog_over_z(k, z) == ref.polylog_over_z(k, z)
+        lam, order = data.draw(bipolys), data.draw(orders)
+        z = ref.degenerate_argument(lam, order)
+        assert families._polylog_over_z(k, lam, order) == ref.polylog_over_z(k, z)
 
     @given(data=st.data())
     @settings(max_examples=5, deadline=None)
@@ -80,11 +85,16 @@ class TestPolylogs:
         assert sequences.polylog_series(k, inner) == ref.polylog_series(k, inner)
 
     def test_generating_function_arguments(self, k):
-        # the two arguments the families use: 1 - e^(-t) and 1 - (1+Lt)^(-1/L)
-        order = 24
-        for z in (
-            Series.constant(ONE, order) - fps.exp_t(-1, order),
-            Series.constant(ONE, order) - fps.degenerate_pow(-1, order),
+        # the two arguments the families use: 1 - e^(-t) and 1 - (1+Lt)^(-1/L);
+        # a power sum truncated to order N is the power sum at order N
+        order = 32
+        one = Series.constant(ONE, order)
+        for quotient, z in (
+            (families._poly_bernoulli_quotient, one - fps.exp_t(-1, order)),
+            (families._fdpb_quotient, one - fps.degenerate_pow(-1, order)),
         ):
-            assert families._polylog_over_z(k, z) == ref.polylog_over_z(k, z)
+            expected = ref.polylog_over_z(k, z)
+            for n in range(order + 1):
+                assert quotient(k, n) == expected.truncate(n), n
+            z = z.truncate(24)  # the composition's orders are covered to 24
             assert sequences.polylog_series(k, z) == ref.polylog_series(k, z)
