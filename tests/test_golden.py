@@ -11,7 +11,10 @@ were captured while each family multiplied its whole quotient series by
 its whole argument series, before one coefficient was read as one sum.
 The last four fdpb and polybernoulli commands were captured under the
 falling-factorial expansion and the composed series, before both families
-were built from Kaneko's polynomials.
+were built from Kaneko's polynomials.  The twelve commands at a rational
+or zero lambda at the end were captured while every family was built in
+Q[L, x] and only then evaluated at lambda, before lambda was threaded
+through the builders.
 Changes to the arithmetic core must leave every byte as it is.
 """
 
@@ -71,6 +74,23 @@ def _commands() -> list[tuple[str, ...]]:
         ("table", "--family", "polybernoulli", "--k", "-3", "--n-max", "28",
          "--lambda=3", "--format", "csv"),
         ("poly", "--family", "polybernoulli", "--k", "2", "--n", "24", "--symbolic"),
+    ]
+    # a rational lambda at series order 32, and lambda = 0, where each family
+    # meets its classical limit
+    out += [
+        ("poly", "--family", "carlitz", "--n", "28", "--lambda=3"),
+        ("poly", "--family", "daehee", "--n", "30", "--lambda=-7/3", "--format", "json"),
+        ("table", "--family", "daehee", "--n-max", "30", "--lambda=-1/2", "--format", "json"),
+        ("table", "--family", "carlitz", "--n-max", "30", "--lambda=1/2"),
+        ("poly", "--family", "fdpb", "--k", "-1", "--n", "30", "--lambda=3"),
+        ("table", "--family", "fdpb", "--k", "3", "--n-max", "30", "--lambda=1/2",
+         "--format", "json"),
+        ("poly", "--family", "carlitz", "--n", "12", "--lambda=0"),
+        ("table", "--family", "carlitz", "--n-max", "12", "--lambda=0", "--format", "json"),
+        ("poly", "--family", "daehee", "--n", "12", "--lambda=0", "--format", "csv"),
+        ("table", "--family", "daehee", "--n-max", "12", "--lambda=0"),
+        ("poly", "--family", "fdpb", "--k", "2", "--n", "12", "--lambda=0"),
+        ("table", "--family", "fdpb", "--k", "-2", "--n-max", "12", "--lambda=0"),
     ]
     out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
     return out
