@@ -7,7 +7,8 @@ Three subcommands:
 * ``verify`` — run the identity suite, exit 0 iff everything passes
 
 All output is exact; no floating point anywhere.  Output is
-byte-deterministic for fixed flags.
+byte-deterministic for fixed flags.  A rational ``--lambda`` is handed to
+the family builders, which compute at that value from the start.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import families as fam
 from . import identities
-from .ring import BiPoly, X, canonical_string
+from .ring import LAM, BiPoly, X, canonical_string
 
 USAGE_ERROR = 2
 
@@ -36,17 +37,21 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}")
 
 
-def _family_value(family: str, n: int, k: Optional[int], arg: BiPoly | Fraction | int) -> BiPoly:
+def _family_value(
+    family: str, n: int, k: Optional[int], arg: BiPoly | int, lam: Optional[Fraction]
+) -> BiPoly:
+    """The family's value at arg, built at the rational lam, or in L when it is None."""
+    lam = LAM if lam is None else lam
     if family == "bernoulli":
         return fam.bernoulli_poly(n, arg)
     if family == "carlitz":
-        return fam.carlitz_beta(n, arg)
+        return fam.carlitz_beta(n, arg, lam)
     if family == "daehee":
-        return fam.daehee_type_b(n, arg)
+        return fam.daehee_type_b(n, arg, lam)
     if family == "polybernoulli":
         return fam.poly_bernoulli_value(n, k, arg)
     if family == "fdpb":
-        return fam.fdpb_value(n, k, arg)
+        return fam.fdpb_value(n, k, arg, lam)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -85,12 +90,13 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error(f"--n-max must be >= 0, got {args.n_max}")
     mode = _lambda_mode(args)
     # the last row first: its series serves every smaller n
-    values = [_family_value(args.family, n, args.k, 0) for n in range(args.n_max, -1, -1)]
-    rows = []
-    for n, value in enumerate(reversed(values)):
-        if args.lam is not None:
-            value = value.eval_at(lam=args.lam)
-        rows.append(_record(args.family, n, args.k, mode, canonical_string(value)))
+    values = [
+        _family_value(args.family, n, args.k, 0, args.lam) for n in range(args.n_max, -1, -1)
+    ]
+    rows = [
+        _record(args.family, n, args.k, mode, canonical_string(value))
+        for n, value in enumerate(reversed(values))
+    ]
     if args.format == "csv":
         lines = ["n,value"] + [f"{r['n']},{r['value']}" for r in rows]
         text = "\n".join(lines) + "\n"
@@ -105,10 +111,7 @@ def cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.n < 0:
         parser.error(f"--n must be >= 0, got {args.n}")
     mode = _lambda_mode(args)
-    value = _family_value(args.family, args.n, args.k, X)
-    if args.lam is not None:
-        value = value.eval_at(lam=args.lam)
-    rendered = canonical_string(value)
+    rendered = canonical_string(_family_value(args.family, args.n, args.k, X, args.lam))
     if args.format == "json":
         record = _record(args.family, args.n, args.k, mode, rendered)
         text = json.dumps(record, indent=2) + "\n"

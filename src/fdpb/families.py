@@ -17,12 +17,16 @@ beta_n^(k)(x) = sum_m S1(n, m) L^(n-m) B_m^(k)(x).  Both are much cheaper
 than their generating functions, which stay available as the oracles.
 
 Each generating function is an argument-free quotient q(t) times an
-argument series A(t), e^{arg t} or (1+Lt)^{arg/L}.  The two polylogarithm
-quotients Li_k(z)/z are built from the differential equation of z, not by
-composing a series in z.  The longest q built so far is kept per family
-(and per k) and serves every smaller n.  A value n! [t^n] q A is one
-fused sum of q_j a_(n-j), with the a_j cached per (arg, order) for all
-families, or n! q_n at arg = 0.
+argument series A(t) = (1+Lt)^{arg/L}, which is e^{arg t} at L = 0.  The
+two polylogarithm quotients Li_k(z)/z are built from the differential
+equation of z, not by composing a series in z.  The longest q built so far
+is kept per family (and per k and lambda) and serves every smaller n.  A
+value n! [t^n] q A is one fused sum of q_j a_(n-j), with the a_j cached
+per (arg, lambda, order) for all families, or n! q_n at arg = 0.
+
+The families that depend on L take ``lam``: the symbol L (the default) or
+a rational, at which every series, Kaneko sum and value is built in Q[x]
+from the start, never built in Q[L, x] and then evaluated.
 """
 
 from __future__ import annotations
@@ -33,11 +37,10 @@ from math import comb, factorial, lcm
 
 from . import fps
 from .ring import (
-    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _key, falling_product, sum_of_products
+    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _term_powers, falling_product,
+    sum_of_products,
 )
-from .sequences import (
-    bernoulli_second_kind, bernoulli_series, stirling1, stirling2, work_order
-)
+from .sequences import bernoulli_second_kind, bernoulli_series, stirling1, work_order
 
 ArgLike = BiPoly | RatLike
 
@@ -68,46 +71,49 @@ def _quotient(build, *key: int, n: int) -> fps.Series:
 
 
 @lru_cache(maxsize=None)
-def _argument(power, arg: BiPoly, order: int) -> tuple[BiPoly, ...]:
-    """Coefficients of the argument series power(arg, order), for every family."""
-    return power(arg, order).coeffs
+def _argument(arg: BiPoly, lam: BiPoly, order: int) -> tuple[BiPoly, ...]:
+    """Coefficients of the argument series (1 + lam t)^(arg/lam), for every family."""
+    return fps.degenerate_pow(arg, order, lam).coeffs
 
 
-def _read(n: int, arg: ArgLike, power, build, *key: int) -> BiPoly:
-    """n! [t^n] of build's quotient q times power(arg), as one sum of q_j a_(n-j)."""
+def _read(n: int, arg: ArgLike, lam: BiPoly, build, *key) -> BiPoly:
+    """n! [t^n] of build's quotient q times (1 + lam t)^(arg/lam), as one sum
+    of q_j a_(n-j)."""
     q = _quotient(build, *key, n=n).coeffs
     arg = _coerce(arg)
     if arg.is_zero():
         return q[n] * factorial(n)
-    a = _argument(power, arg, work_order(n))
+    a = _argument(arg, lam, work_order(n))
     return sum_of_products((q[j], a[n - j]) for j in range(n + 1)) * factorial(n)
 
 
 def bernoulli_poly(n: int, arg: ArgLike = X) -> BiPoly:
     """Bernoulli polynomial B_n, or its value at a rational argument."""
-    return _read(n, arg, fps.exp_t, bernoulli_series)
+    return _read(n, arg, ZERO, bernoulli_series)
 
 
-def _degenerate_expm1(order: int) -> fps.Series:
-    return fps.degenerate_pow(ONE, order) - fps.Series.constant(ONE, order)
+def _degenerate_expm1(lam: BiPoly, order: int) -> fps.Series:
+    return fps.degenerate_pow(ONE, order, lam) - fps.Series.constant(ONE, order)
 
 
-def _carlitz_quotient(order: int) -> fps.Series:
-    return fps.series_div(fps.Series.t(order), _degenerate_expm1(order))
+def _carlitz_quotient(lam: BiPoly, order: int) -> fps.Series:
+    return fps.series_div(fps.Series.t(order), _degenerate_expm1(lam, order))
 
 
-def carlitz_beta(n: int, arg: ArgLike = 0) -> BiPoly:
-    """Carlitz degenerate Bernoulli number/polynomial of index n."""
-    return _read(n, arg, fps.degenerate_pow, _carlitz_quotient)
+def carlitz_beta(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
+    """Carlitz degenerate Bernoulli number/polynomial of index n, at lam."""
+    lam = _coerce(lam)
+    return _read(n, arg, lam, _carlitz_quotient, lam)
 
 
-def _daehee_quotient(order: int) -> fps.Series:
-    return fps.series_div(fps.lambda_log(order), _degenerate_expm1(order))
+def _daehee_quotient(lam: BiPoly, order: int) -> fps.Series:
+    return fps.series_div(fps.lambda_log(order, lam), _degenerate_expm1(lam, order))
 
 
-def daehee_type_b(n: int, arg: ArgLike = 0) -> BiPoly:
-    """Degenerate Bernoulli number/polynomial with the log numerator."""
-    return _read(n, arg, fps.degenerate_pow, _daehee_quotient)
+def daehee_type_b(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
+    """Degenerate Bernoulli number/polynomial with the log numerator, at lam."""
+    lam = _coerce(lam)
+    return _read(n, arg, lam, _daehee_quotient, lam)
 
 
 def _polylog_over_z(k: int, lam: BiPoly, order: int) -> fps.Series:
@@ -143,16 +149,26 @@ def _poly_bernoulli_quotient(k: int, order: int) -> fps.Series:
 
 def classical_poly_bernoulli(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     """Classical poly-Bernoulli number/polynomial (no L involved)."""
-    return _read(n, arg, fps.exp_t, _poly_bernoulli_quotient, k)
+    return _read(n, arg, ZERO, _poly_bernoulli_quotient, k)
 
 
-def _fdpb_quotient(k: int, order: int) -> fps.Series:
-    return _polylog_over_z(k, LAM, order)
+def _fdpb_quotient(k: int, lam: BiPoly, order: int) -> fps.Series:
+    return _polylog_over_z(k, lam, order)
 
 
-def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
-    """Fully degenerate poly-Bernoulli value via the generating function."""
-    return _read(n, arg, fps.degenerate_pow, _fdpb_quotient, k)
+def fdpb_gf(n: int, k: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
+    """Fully degenerate poly-Bernoulli value at lam via the generating function."""
+    lam = _coerce(lam)
+    return _read(n, arg, lam, _fdpb_quotient, k, lam)
+
+
+@lru_cache(maxsize=None)
+def _surjections(l: int) -> tuple[int, ...]:
+    """m! S2(l, m) for m = 0..l, by F_(l+1)(m) = m (F_l(m) + F_l(m-1))."""
+    if l == 0:
+        return (1,)
+    prev = _surjections(l - 1) + (0,)
+    return (0, *(m * (prev[m] + prev[m - 1]) for m in range(1, l + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -164,30 +180,34 @@ def _kaneko(l: int, k: int) -> tuple[int, int]:
     """
     top = lcm(*range(1, l + 2)) if k > 0 else 1
     num = 0
-    for m in range(l + 1):
+    for m, surjections in enumerate(_surjections(l)):
         power = (top // (m + 1)) ** k if k > 0 else (m + 1) ** -k
-        num += (-1) ** (m + l) * factorial(m) * stirling2(l, m) * power
+        num += (-1) ** (m + l) * surjections * power
     return num, (top**k if k > 0 else 1)
 
 
-def _kaneko_sum(n: int, k: int, weight, key) -> BiPoly:
-    """sum_l weight(n, l) B_l^(k) at monomial key(n - l), over one denominator."""
+def _kaneko_sum(n: int, k: int, weight, v: ArgLike) -> BiPoly:
+    """sum_l weight(n, l) B_l^(k) v^(n - l) for a single term v, over one denominator."""
+    keys, scale, v_den = _term_powers(v, n)
     weights = [_kaneko(l, k) for l in range(n + 1)]
     den = lcm(*(d for _, d in weights))
-    num = {key(n - l): weight(n, l) * c * (den // d) for l, (c, d) in enumerate(weights)}
-    return BiPoly._make(num, den)
+    num: dict[int, int] = {}
+    for l, (c, d) in enumerate(weights):
+        key = keys[n - l]
+        num[key] = num.get(key, 0) + weight(n, l) * c * (den // d) * scale[n - l]
+    return BiPoly._make(num, den * v_den)
 
 
 @lru_cache(maxsize=None)
-def fdpb_closed(n: int, k: int) -> BiPoly:
-    """Fully degenerate poly-Bernoulli number, sum_l S1(n, l) L^(n-l) B_l^(k)."""
-    return _kaneko_sum(n, k, stirling1, lambda e: _key(e, 0))
+def fdpb_closed(n: int, k: int, lam: ArgLike = LAM) -> BiPoly:
+    """Fully degenerate poly-Bernoulli number, sum_l S1(n, l) lam^(n-l) B_l^(k)."""
+    return _kaneko_sum(n, k, stirling1, lam)
 
 
 @lru_cache(maxsize=None)
 def _kaneko_poly(m: int, k: int) -> BiPoly:
     """Kaneko's poly-Bernoulli polynomial B_m^(k)(x) = sum_l C(m, l) B_l^(k) x^(m-l)."""
-    return _kaneko_sum(m, k, comb, lambda e: _key(0, e))
+    return _kaneko_sum(m, k, comb, X)
 
 
 def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
@@ -199,19 +219,23 @@ def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
 
 
 @lru_cache(maxsize=None)
-def fdpb_poly(n: int, k: int) -> BiPoly:
-    """The degree-n polynomial, sum_m S1(n, m) L^(n-m) B_m^(k)(x), in n^2/2 term pairs."""
+def fdpb_poly(n: int, k: int, lam: ArgLike = LAM) -> BiPoly:
+    """The degree-n polynomial, sum_m S1(n, m) lam^(n-m) B_m^(k)(x), in n^2/2 term pairs."""
+    keys, scale, den = _term_powers(lam, n)
     return sum_of_products(
-        (BiPoly({(n - m, 0): stirling1(n, m)}), _kaneko_poly(m, k)) for m in range(n + 1)
+        (BiPoly._make({keys[n - m]: stirling1(n, m) * scale[n - m]}, den), _kaneko_poly(m, k))
+        for m in range(n + 1)
     )
 
 
-def fdpb_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
-    """Number, polynomial, or value at arg, from Kaneko's numbers, not a series."""
-    arg = _coerce(arg)
+def fdpb_value(n: int, k: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
+    """Number, polynomial, or value at arg and lam, from Kaneko's numbers, not a series."""
+    arg, lam = _coerce(arg), _coerce(lam)
+    # at L, the memo key (n, k) the identity checks use
+    at = (n, k) if lam == LAM else (n, k, lam)
     if arg.is_zero():
-        return fdpb_closed(n, k)
-    return fdpb_poly(n, k) if arg == X else fdpb_poly(n, k).subst_x(arg)
+        return fdpb_closed(*at)
+    return fdpb_poly(*at) if arg == X else fdpb_poly(*at).subst_x(arg)
 
 
 def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:

@@ -12,10 +12,13 @@ integral of f'/f) each take O(N^2) coefficient products (Brent & Kung,
 J. ACM 25, 1978); composition takes about 2 sqrt(N) series products, by
 baby steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput. 2,
 1973).  The one delicate point is that exponents and logarithms of the form
-(1 + L t)^(mu/L) and (1/L) log(1 + L t) are produced by closed-form
+(1 + lam t)^(mu/lam) and (1/lam) log(1 + lam t) are produced by closed-form
 coefficient builders (:func:`degenerate_pow`, :func:`lambda_log`) so that
 no coefficient ever leaves Q[L, x]; dividing literally by the scalar L
-would force a rational-function ring.
+would force a rational-function ring.  Both take lam, the symbol L by
+default or a rational: at a rational lam every coefficient is a
+polynomial in x alone, so a caller that wants one value of L computes in
+Q[x] from the start instead of substituting into the Q[L, x] series.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, isqrt
 
-from .ring import ONE, ZERO, BiPoly, RatLike, _coerce, sum_of_products
+from .ring import LAM, ONE, ZERO, BiPoly, RatLike, _coerce, sum_of_products
 
 
 class SeriesError(Exception):
@@ -221,26 +224,29 @@ def series_derivative(f: Series) -> Series:
     return Series([c * (n + 1) for n, c in enumerate(f.coeffs[1:])])
 
 
-def degenerate_pow(mu: BiPoly | RatLike, order: int) -> Series:
-    """The series (1 + L t)^(mu/L), built without dividing by L.
+def degenerate_pow(mu: BiPoly | RatLike, order: int, lam: BiPoly | RatLike = LAM) -> Series:
+    """The series (1 + lam t)^(mu/lam), built without dividing by lam.
 
     Its EGF coefficient n is the generalized falling factorial
-    mu (mu - L) ... (mu - (n-1) L); at L = 0 the series is exp(mu t).
+    mu (mu - lam) ... (mu - (n-1) lam); at lam = 0 the series is exp(mu t).
     """
-    mu = _coerce(mu)
+    mu, lam = _coerce(mu), _coerce(lam)
     coeffs = []
     acc = ONE
     for n in range(order + 1):
         coeffs.append(acc / factorial(n))
-        acc = acc * (mu - BiPoly({(1, 0): n}))
+        acc = acc * (mu - lam * n)
     return Series(coeffs)
 
 
-def lambda_log(order: int) -> Series:
-    """The series (1/L) log(1 + L t) = sum (-1)^(n-1) L^(n-1) t^n / n."""
+def lambda_log(order: int, lam: BiPoly | RatLike = LAM) -> Series:
+    """The series (1/lam) log(1 + lam t) = sum (-1)^(n-1) lam^(n-1) t^n / n."""
+    step = -_coerce(lam)
     coeffs: list[BiPoly] = [ZERO]
+    power = ONE
     for n in range(1, order + 1):
-        coeffs.append(BiPoly({(n - 1, 0): Fraction((-1) ** (n - 1), n)}))
+        coeffs.append(power / n)
+        power = power * step
     return Series(coeffs)
 
 

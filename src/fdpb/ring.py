@@ -22,10 +22,14 @@ Values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import gcd, lcm
+from operator import mul
 
 Rat = Fraction
 
@@ -297,12 +301,21 @@ def _coerce(value: BiPoly | RatLike) -> BiPoly:
 def _scaled_powers(value: Fraction, top: int) -> tuple[list[int], int]:
     """p**d * q**(top - d) for d = 0..top, and q**top, where value = p/q."""
     p, q = value.numerator, value.denominator
-    p_pow = [1]
-    q_pow = [1]
-    for _ in range(top):
-        p_pow.append(p_pow[-1] * p)
-        q_pow.append(q_pow[-1] * q)
-    return [p_pow[d] * q_pow[top - d] for d in range(top + 1)], q_pow[top]
+    p_pow = accumulate(repeat(p, top), mul, initial=1)
+    q_pow = list(accumulate(repeat(q, top), mul, initial=1))
+    return list(map(mul, p_pow, reversed(q_pow))), q_pow[top]
+
+
+def _term_powers(term: BiPoly | RatLike, top: int) -> tuple[list[int], list[int], int]:
+    """term^j = nums[j] * (the monomial keyed keys[j]) / den, for j = 0..top.
+
+    term must be a single term c L^l x^d, such as L, x or a rational; its
+    powers are read off c = p/q as p^j q^(top - j) over q^top, in integers.
+    """
+    term = _coerce(term)
+    ((key, num),) = term._num.items() or [(0, 0)]
+    nums, den = _scaled_powers(Fraction(num, term._den), top)
+    return [key * j for j in range(top + 1)], nums, den
 
 
 def sum_of_products(pairs: Iterable[tuple[BiPoly, BiPoly]]) -> BiPoly:
@@ -348,6 +361,22 @@ def falling_product(mu: BiPoly | RatLike, n: int) -> BiPoly:
     return falling_product(mu, n - 1) * (mu - LAM * (n - 1))
 
 
+@contextmanager
+def _all_digits():
+    """Lift the interpreter's limit on int/str conversions (4,300 digits by
+    default where it exists), restoring it on exit, so values print exactly."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _term_string(l_deg: int, x_deg: int, num: int, den: int) -> str:
     """One term num/den * L^l_deg * x^x_deg; num/den is reduced here."""
     if den != 1:
@@ -366,6 +395,7 @@ def _term_string(l_deg: int, x_deg: int, num: int, den: int) -> str:
     return "*".join(parts)
 
 
+@_all_digits()
 def canonical_string(p: BiPoly) -> str:
     """Deterministic rendering: terms by x-degree then L-degree, descending."""
     if p.is_zero():
@@ -376,6 +406,7 @@ def canonical_string(p: BiPoly) -> str:
     )
 
 
+@_all_digits()
 def parse_poly(text: str) -> BiPoly:
     """Parse the grammar produced by canonical_string."""
     text = text.strip()

@@ -100,10 +100,14 @@ def sheffer_expand(p: BiPoly, k: int) -> BasisExpansion:
     substitution.  A RouteMismatch is raised if they ever disagree.
     """
     n = p.x_degree()
+    # g f^m, carried from m to m + 1 by one product with f
+    functional = sheffer_invertible(k, n + 1)
+    f = sheffer_delta(n + 1)
     functional_route = []
     for m in range(n + 1):
-        a = pair(sheffer_functional(k, m, n), p) / factorial(m)
-        functional_route.append(a)
+        if m:
+            functional = functional * f
+        functional_route.append(pair(functional, p) / factorial(m))
     triangular_route: list[BiPoly] = [ZERO] * (n + 1)
     residue = p
     for m in range(n, -1, -1):

@@ -1,8 +1,11 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from fdpb.cli import main
+from fdpb.ring import X, parse_poly
 
 
 def run(capsys, *argv):
@@ -158,6 +161,25 @@ class TestPoly:
         assert code_sep == code_eq == 0
         assert sep == eq
         assert sep != run(capsys, *base, "--lambda=1/2")[1]
+
+    @pytest.mark.parametrize("lam", ["--symbolic", "--lambda=1/2"])
+    def test_values_past_the_int_str_limit(self, capsys, lam):
+        # beta_1^(k)(x) = x + 2^(-k): at k = 20000 the denominator has 6,021
+        # digits, past the 4,300 that int/str conversions allow by default
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is not None:
+            before = sys.get_int_max_str_digits()
+            set_limit(4300)
+        try:
+            code, out = run(capsys, "poly", "--family", "fdpb", "--k", "20000", "--n", "1", lam)
+            if set_limit is not None:
+                assert sys.get_int_max_str_digits() == 4300
+        finally:
+            if set_limit is not None:
+                set_limit(before)
+        assert code == 0
+        assert len(out) > 6021
+        assert parse_poly(out) == X + Fraction(1, 2**20000)
 
     def test_json_record(self, capsys):
         code, out = run(

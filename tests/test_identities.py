@@ -94,13 +94,15 @@ def patch_kaneko(monkeypatch):
 @pytest.fixture
 def patch_quotient(monkeypatch):
     """Patch a quotient builder in families, with the quotient memo cleared
-    before the patch and after the test."""
+    before the patch and after the test.  The builder takes k first and the
+    order last, with lambda between them for the fdpb quotient."""
 
     def patch(name, coefficient, k):
         original = getattr(fam, name)
 
-        def perturbed(k_, order):
-            series = original(k_, order)
+        def perturbed(k_, *rest):
+            series = original(k_, *rest)
+            order = rest[-1]
             if k_ != k or order < coefficient:
                 return series
             coeffs = list(series.coeffs)
