@@ -24,9 +24,10 @@ is kept per family (and per k and lambda) and serves every smaller n.  A
 value n! [t^n] q A is one fused sum of q_j a_(n-j), with the a_j cached
 per (arg, lambda, order) for all families, or n! q_n at arg = 0.
 
-The families that depend on L take ``lam``: the symbol L (the default) or
-a rational, at which every series, Kaneko sum and value is built in Q[x]
-from the start, never built in Q[L, x] and then evaluated.
+The families that depend on L, other than the oracle fdpb_gf, take
+``lam``: the symbol L (the default) or a rational, at which every series,
+Kaneko sum and value is built in Q[x] from the start, never built in
+Q[L, x] and then evaluated.
 """
 
 from __future__ import annotations
@@ -152,14 +153,13 @@ def classical_poly_bernoulli(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     return _read(n, arg, ZERO, _poly_bernoulli_quotient, k)
 
 
-def _fdpb_quotient(k: int, lam: BiPoly, order: int) -> fps.Series:
-    return _polylog_over_z(k, lam, order)
+def _fdpb_quotient(k: int, order: int) -> fps.Series:
+    return _polylog_over_z(k, LAM, order)
 
 
-def fdpb_gf(n: int, k: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
-    """Fully degenerate poly-Bernoulli value at lam via the generating function."""
-    lam = _coerce(lam)
-    return _read(n, arg, lam, _fdpb_quotient, k, lam)
+def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
+    """Fully degenerate poly-Bernoulli value via the generating function."""
+    return _read(n, arg, LAM, _fdpb_quotient, k)
 
 
 @lru_cache(maxsize=None)

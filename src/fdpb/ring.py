@@ -27,9 +27,7 @@ from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import mul
 
 Rat = Fraction
 
@@ -301,9 +299,12 @@ def _coerce(value: BiPoly | RatLike) -> BiPoly:
 def _scaled_powers(value: Fraction, top: int) -> tuple[list[int], int]:
     """p**d * q**(top - d) for d = 0..top, and q**top, where value = p/q."""
     p, q = value.numerator, value.denominator
-    p_pow = accumulate(repeat(p, top), mul, initial=1)
-    q_pow = list(accumulate(repeat(q, top), mul, initial=1))
-    return list(map(mul, p_pow, reversed(q_pow))), q_pow[top]
+    p_pow = [1]
+    q_pow = [1]
+    for _ in range(top):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    return [p_pow[d] * q_pow[top - d] for d in range(top + 1)], q_pow[top]
 
 
 def _term_powers(term: BiPoly | RatLike, top: int) -> tuple[list[int], list[int], int]:

@@ -94,15 +94,13 @@ def patch_kaneko(monkeypatch):
 @pytest.fixture
 def patch_quotient(monkeypatch):
     """Patch a quotient builder in families, with the quotient memo cleared
-    before the patch and after the test.  The builder takes k first and the
-    order last, with lambda between them for the fdpb quotient."""
+    before the patch and after the test."""
 
     def patch(name, coefficient, k):
         original = getattr(fam, name)
 
-        def perturbed(k_, *rest):
-            series = original(k_, *rest)
-            order = rest[-1]
+        def perturbed(k_, order):
+            series = original(k_, order)
             if k_ != k or order < coefficient:
                 return series
             coeffs = list(series.coeffs)

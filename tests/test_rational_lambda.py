@@ -1,9 +1,9 @@
 """Families built at a rational lambda against the symbolic family evaluated there.
 
-Every L-dependent builder takes ``lam``, the symbol L or a rational.  At a
-rational it computes in Q[x] from the start; the value must be the one the
-Q[L, x] build gives after ``eval_at(lam=r)``, and the CLI must reach it
-without substituting at all.
+The L-dependent builders the CLI reads take ``lam``, the symbol L or a
+rational.  At a rational each computes in Q[x] from the start; the value
+must be the one the Q[L, x] build gives after ``eval_at(lam=r)``, and the
+CLI must reach it without substituting at all.
 """
 
 from fractions import Fraction
@@ -16,9 +16,7 @@ from fdpb.ring import BiPoly, X
 
 N_MAX = 32
 LAMBDAS = (0, Fraction(1, 2), Fraction(-1, 2), 3, Fraction(-7, 3))
-ROUTES = [
-    (fam.carlitz_beta, None), (fam.daehee_type_b, None), (fam.fdpb_value, -2), (fam.fdpb_gf, 3)
-]
+ROUTES = [(fam.carlitz_beta, None), (fam.daehee_type_b, None), (fam.fdpb_value, -2)]
 
 
 def _value(route, k, n, arg, **lam):

@@ -13,7 +13,6 @@ and lam = 0 at every order 0..32.
 """
 
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 import series_reference as ref
 from fdpb import families, fps, sequences
 from fdpb.fps import Series
-from fdpb.ring import LAM, ONE, ZERO, BiPoly
+from fdpb.ring import ONE, ZERO, BiPoly
 
 ORDERS = range(25)
 PERFECT_SQUARE_ORDERS = (0, 3, 8, 15, 24)
@@ -92,10 +91,10 @@ class TestPolylogs:
         one = Series.constant(ONE, order)
         for quotient, z in (
             (families._poly_bernoulli_quotient, one - fps.exp_t(-1, order)),
-            (partial(families._fdpb_quotient, lam=LAM), one - fps.degenerate_pow(-1, order)),
+            (families._fdpb_quotient, one - fps.degenerate_pow(-1, order)),
         ):
             expected = ref.polylog_over_z(k, z)
             for n in range(order + 1):
-                assert quotient(k, order=n) == expected.truncate(n), n
+                assert quotient(k, n) == expected.truncate(n), n
             z = z.truncate(24)  # the composition's orders are covered to 24
             assert sequences.polylog_series(k, z) == ref.polylog_series(k, z)
