@@ -38,10 +38,10 @@ from math import comb, factorial, lcm
 
 from . import fps
 from .ring import (
-    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _term_powers, falling_product,
+    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _term_powers, falling_product, grow,
     sum_of_products,
 )
-from .sequences import bernoulli_second_kind, bernoulli_series, stirling1, work_order
+from .sequences import bernoulli_second_kind, bernoulli_series, stirling1_row, work_order
 
 ArgLike = BiPoly | RatLike
 
@@ -162,13 +162,13 @@ def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     return _read(n, arg, LAM, _fdpb_quotient, k)
 
 
-@lru_cache(maxsize=None)
-def _surjections(l: int) -> tuple[int, ...]:
-    """m! S2(l, m) for m = 0..l, by F_(l+1)(m) = m (F_l(m) + F_l(m-1))."""
-    if l == 0:
-        return (1,)
-    prev = _surjections(l - 1) + (0,)
-    return (0, *(m * (prev[m] + prev[m - 1]) for m in range(1, l + 1)))
+# row l holds F_l(m) = m! S2(l, m) for m = 0..l
+_SURJECTIONS: list[tuple[int, ...]] = [(1,)]
+
+
+def _surjection_step(prev: tuple[int, ...], l: int) -> tuple[int, ...]:
+    # F_l(m) = m (F_(l-1)(m) + F_(l-1)(m-1))
+    return (0, *(m * (a + b) for m, (a, b) in enumerate(zip(prev, prev[1:] + (0,)), 1)))
 
 
 @lru_cache(maxsize=None)
@@ -180,34 +180,35 @@ def _kaneko(l: int, k: int) -> tuple[int, int]:
     """
     top = lcm(*range(1, l + 2)) if k > 0 else 1
     num = 0
-    for m, surjections in enumerate(_surjections(l)):
+    for m, surjections in enumerate(grow(_SURJECTIONS, l, _surjection_step)):
         power = (top // (m + 1)) ** k if k > 0 else (m + 1) ** -k
         num += (-1) ** (m + l) * surjections * power
     return num, (top**k if k > 0 else 1)
 
 
-def _kaneko_sum(n: int, k: int, weight, v: ArgLike) -> BiPoly:
-    """sum_l weight(n, l) B_l^(k) v^(n - l) for a single term v, over one denominator."""
+def _kaneko_sum(row, k: int, v: ArgLike) -> BiPoly:
+    """sum_l row[l] B_l^(k) v^(n-l), n = len(row) - 1, for one term v, over one lcm."""
+    n = len(row) - 1
     keys, scale, v_den = _term_powers(v, n)
     weights = [_kaneko(l, k) for l in range(n + 1)]
     den = lcm(*(d for _, d in weights))
     num: dict[int, int] = {}
     for l, (c, d) in enumerate(weights):
         key = keys[n - l]
-        num[key] = num.get(key, 0) + weight(n, l) * c * (den // d) * scale[n - l]
+        num[key] = num.get(key, 0) + row[l] * c * (den // d) * scale[n - l]
     return BiPoly._make(num, den * v_den)
 
 
 @lru_cache(maxsize=None)
 def fdpb_closed(n: int, k: int, lam: ArgLike = LAM) -> BiPoly:
     """Fully degenerate poly-Bernoulli number, sum_l S1(n, l) lam^(n-l) B_l^(k)."""
-    return _kaneko_sum(n, k, stirling1, lam)
+    return _kaneko_sum(stirling1_row(n), k, lam)
 
 
 @lru_cache(maxsize=None)
 def _kaneko_poly(m: int, k: int) -> BiPoly:
     """Kaneko's poly-Bernoulli polynomial B_m^(k)(x) = sum_l C(m, l) B_l^(k) x^(m-l)."""
-    return _kaneko_sum(m, k, comb, X)
+    return _kaneko_sum([comb(m, l) for l in range(m + 1)], k, X)
 
 
 def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
@@ -223,8 +224,8 @@ def fdpb_poly(n: int, k: int, lam: ArgLike = LAM) -> BiPoly:
     """The degree-n polynomial, sum_m S1(n, m) lam^(n-m) B_m^(k)(x), in n^2/2 term pairs."""
     keys, scale, den = _term_powers(lam, n)
     return sum_of_products(
-        (BiPoly._make({keys[n - m]: stirling1(n, m) * scale[n - m]}, den), _kaneko_poly(m, k))
-        for m in range(n + 1)
+        (BiPoly._make({keys[n - m]: s * scale[n - m]}, den), _kaneko_poly(m, k))
+        for m, s in enumerate(stirling1_row(n))
     )
 
 

@@ -250,22 +250,7 @@ def lambda_log(order: int, lam: BiPoly | RatLike = LAM) -> Series:
     return Series(coeffs)
 
 
-def exp_t(mu: BiPoly | RatLike, order: int) -> Series:
-    """The series exp(mu t) with polynomial mu."""
-    mu = _coerce(mu)
-    coeffs = []
-    acc = ONE
-    for n in range(order + 1):
-        coeffs.append(acc / factorial(n))
-        acc = acc * mu
-    return Series(coeffs)
-
-
 def egf_coeff(f: Series, n: int) -> BiPoly:
     """EGF-normalized coefficient n, i.e. n! times the ordinary one."""
     return f.coeff(n) * factorial(n)
 
-
-def egf_series(coeffs: list[BiPoly | RatLike]) -> Series:
-    """Build a series from EGF coefficients (a_n stored as a_n / n!)."""
-    return Series([_coerce(c) / factorial(n) for n, c in enumerate(coeffs)])

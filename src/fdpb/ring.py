@@ -26,7 +26,6 @@ import sys
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 Rat = Fraction
@@ -351,15 +350,25 @@ LAM = BiPoly({(1, 0): 1})
 X = BiPoly({(0, 1): 1})
 
 
-@lru_cache(maxsize=None)
+def grow(rows: list, n: int, step):
+    """Row n of a table whose row i is step(row i - 1, i); the missing rows are
+    appended to ``rows`` in a loop from its last row, so they cost no stack depth."""
+    if n < 0:
+        raise ValueError(f"a table has no row {n}")
+    while len(rows) <= n:
+        rows.append(step(rows[-1], len(rows)))
+    return rows[n]
+
+
+# mu -> [(mu|L)_0, (mu|L)_1, ...], grown by falling_product
+_falling: dict[BiPoly, list[BiPoly]] = {}
+
+
 def falling_product(mu: BiPoly | RatLike, n: int) -> BiPoly:
     """Generalized falling factorial mu * (mu - L) * ... * (mu - (n-1) L)."""
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    if n == 0:
-        return ONE
     mu = _coerce(mu)
-    return falling_product(mu, n - 1) * (mu - LAM * (n - 1))
+    rows = _falling.setdefault(mu, [ONE])
+    return grow(rows, n, lambda prev, i: prev * (mu - LAM * (i - 1)))
 
 
 @contextmanager

@@ -1,60 +1,56 @@
 """Classical auxiliary sequences.
 
-Stirling numbers of both kinds (signed first kind, so that the falling
-factorial (x)_n = sum_l S1(n, l) x^l), Bernoulli numbers, Bernoulli
-numbers of the second kind, generalized falling factorials and the
-truncated polylogarithm.
+Stirling numbers of both kinds (signed first kind, so that (x)_n =
+sum_l S1(n, l) x^l), as tables that ring.grow extends in a loop, Bernoulli
+numbers, those of the second kind b_n = sum_m S1(n, m) / (m + 1) read from
+the S1 rows, generalized falling factorials and the truncated polylogarithm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import fps
-from .ring import ONE, falling_product
+from .ring import ONE, falling_product, grow
 
 
 class IndexOutOfRange(Exception):
     pass
 
 
-@lru_cache(maxsize=None)
-def _stirling1_row(n: int) -> tuple[int, ...]:
-    # (x)_{n+1} = (x - n)(x)_n  =>  S1(n+1, l) = S1(n, l-1) - n S1(n, l)
-    if n == 0:
-        return (1,)
-    prev = _stirling1_row(n - 1)
-    row = [0] * (n + 1)
-    for l in range(n + 1):
-        row[l] = (prev[l - 1] if l >= 1 else 0) - (n - 1) * (prev[l] if l <= n - 1 else 0)
-    return tuple(row)
+_STIRLING1: list[tuple[int, ...]] = [(1,)]
+_STIRLING2: list[tuple[int, ...]] = [(1,)]
 
 
-@lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    # S2(n+1, l) = l S2(n, l) + S2(n, l-1)
-    if n == 0:
-        return (1,)
-    prev = _stirling2_row(n - 1)
-    row = [0] * (n + 1)
-    for l in range(n + 1):
-        row[l] = l * (prev[l] if l <= n - 1 else 0) + (prev[l - 1] if l >= 1 else 0)
-    return tuple(row)
+def _stirling1_step(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # (x)_n = (x - (n-1)) (x)_(n-1)  =>  S1(n, l) = S1(n-1, l-1) - (n-1) S1(n-1, l)
+    return (0, *(a - (n - 1) * b for a, b in zip(prev, prev[1:] + (0,))))
+
+
+def _stirling2_step(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # S2(n, l) = S2(n-1, l-1) + l S2(n-1, l)
+    return (0, *(a + l * b for l, (a, b) in enumerate(zip(prev, prev[1:] + (0,)), 1)))
+
+
+def stirling1_row(n: int) -> tuple[int, ...]:
+    """S1(n, l) for l = 0..n, for sums that sweep a whole row."""
+    return grow(_STIRLING1, n, _stirling1_step)
 
 
 def stirling1(n: int, l: int) -> int:
     """Signed Stirling number of the first kind."""
     if not 0 <= l <= n:
         raise IndexOutOfRange(f"stirling1 needs 0 <= l <= n, got ({n}, {l})")
-    return _stirling1_row(n)[l]
+    return stirling1_row(n)[l]
 
 
 def stirling2(n: int, l: int) -> int:
     """Stirling number of the second kind."""
     if not 0 <= l <= n:
         raise IndexOutOfRange(f"stirling2 needs 0 <= l <= n, got ({n}, {l})")
-    return _stirling2_row(n)[l]
+    return grow(_STIRLING2, n, _stirling2_step)[l]
 
 
 @lru_cache(maxsize=None)
@@ -72,19 +68,12 @@ def bernoulli(n: int) -> Fraction:
     return fps.egf_coeff(bernoulli_series(work_order(n)), n).constant()
 
 
-@lru_cache(maxsize=None)
-def _bernoulli2_series(order: int) -> fps.Series:
-    # t / log(1 + t)
-    t = fps.Series.t(order)
-    log1p = fps.series_log(fps.Series.constant(ONE, order) + t)
-    return fps.series_div(t, log1p)
-
-
 def bernoulli_second_kind(n: int) -> Fraction:
-    """Bernoulli number of the second kind b_n (EGF t / log(1+t))."""
+    """Bernoulli number of the second kind (EGF t / log(1+t)), sum_m S1(n, m) / (m + 1)."""
     if n < 0:
         raise IndexOutOfRange("bernoulli_second_kind needs n >= 0")
-    return fps.egf_coeff(_bernoulli2_series(work_order(n)), n).constant()
+    top = lcm(*range(1, n + 2))
+    return Fraction(sum(s * (top // (m + 1)) for m, s in enumerate(stirling1_row(n))), top)
 
 
 def work_order(n: int) -> int:

@@ -64,15 +64,6 @@ def sheffer_delta(order: int) -> fps.Series:
     return fps.Series(coeffs)
 
 
-def sheffer_functional(k: int, m: int, order: int) -> fps.Series:
-    """The functional g(t) f(t)^m used for the m-th expansion coefficient."""
-    out = sheffer_invertible(k, order + 1)
-    f = sheffer_delta(order + 1)
-    for _ in range(m):
-        out = out * f
-    return out.truncate(min(out.order, order))
-
-
 @dataclass(frozen=True)
 class BasisExpansion:
     degree: int

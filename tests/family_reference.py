@@ -24,7 +24,7 @@ def _as_arg(arg) -> BiPoly:
 
 @lru_cache(maxsize=None)
 def _bernoulli_series(order: int, arg: BiPoly) -> fps.Series:
-    return bernoulli_series(order) * fps.exp_t(arg, order)
+    return bernoulli_series(order) * fps.degenerate_pow(arg, order, 0)
 
 
 @lru_cache(maxsize=None)
@@ -48,8 +48,8 @@ def _polylog_over_z(k: int, z: fps.Series) -> fps.Series:
 
 @lru_cache(maxsize=None)
 def _poly_bernoulli_series(k: int, order: int, arg: BiPoly) -> fps.Series:
-    z = fps.Series.constant(ONE, order) - fps.exp_t(-1, order)
-    return _polylog_over_z(k, z) * fps.exp_t(arg, order)
+    z = fps.Series.constant(ONE, order) - fps.degenerate_pow(-1, order, 0)
+    return _polylog_over_z(k, z) * fps.degenerate_pow(arg, order, 0)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -230,10 +231,13 @@ class TestDegeneratePow:
             assert egf_coeff(f, n) == falling_product(X, n)
 
     def test_lambda_zero_is_exponential(self):
-        f = degenerate_pow(X, N)
-        g = fps.exp_t(X, N)
+        # (1 + Lt)^(x/L) at L = 0, and built at lam = 0, is exp(xt) = sum x^n t^n / n!
+        symbolic = degenerate_pow(X, N)
+        at_zero = degenerate_pow(X, N, 0)
         for n in range(N + 1):
-            assert f.coeff(n).eval_at(lam=0) == g.coeff(n)
+            expected = X**n / factorial(n)
+            assert symbolic.coeff(n).eval_at(lam=0) == expected
+            assert at_zero.coeff(n) == expected
 
 
 class TestEgfCoeff:

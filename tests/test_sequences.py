@@ -110,6 +110,14 @@ class TestBernoulli:
         assert bernoulli_second_kind(1) == Fraction(1, 2)
         assert bernoulli_second_kind(2) == Fraction(-1, 6)
 
+    def test_second_kind_against_the_series_t_over_log(self):
+        # b_n is read from the S1 rows; the series t / log(1 + t) is the oracle
+        order = 64
+        t = fps.Series.t(order)
+        quotient = fps.series_div(t, fps.series_log(fps.Series.constant(ONE, order) + t))
+        for n in range(64):
+            assert bernoulli_second_kind(n) == fps.egf_coeff(quotient, n).constant(), n
+
     def test_negative_index_rejected(self):
         with pytest.raises(IndexOutOfRange):
             bernoulli(-1)

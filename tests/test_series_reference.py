@@ -90,7 +90,7 @@ class TestPolylogs:
         order = 32
         one = Series.constant(ONE, order)
         for quotient, z in (
-            (families._poly_bernoulli_quotient, one - fps.exp_t(-1, order)),
+            (families._poly_bernoulli_quotient, one - fps.degenerate_pow(-1, order, 0)),
             (families._fdpb_quotient, one - fps.degenerate_pow(-1, order)),
         ):
             expected = ref.polylog_over_z(k, z)

@@ -12,21 +12,22 @@ from fdpb.umbral import (
     eq60_connection,
     lambda_difference,
     pair,
+    sheffer_delta,
     sheffer_expand,
-    sheffer_functional,
+    sheffer_invertible,
     shift_operator,
 )
 
 
 def monomial_functional(k, order):
     # the series t^k, whose pairing picks out n! delta_{n,k}
-    return fps.egf_series([ZERO] * k + [factorial(k)] + [ZERO] * (order - k))
+    return fps.Series([ZERO] * k + [ONE] + [ZERO] * (order - k))
 
 
 class TestPairing:
     def test_evaluation_functional(self):
         p = X * X * X - 2 * X + ONE
-        f = fps.exp_t(2, 6)
+        f = fps.degenerate_pow(2, 6, 0)
         assert pair(f, p) == p.eval_at(x=2)
 
     def test_integration_functional_on_x(self):
@@ -67,9 +68,13 @@ class TestOperators:
 
 class TestShefferOrthogonality:
     def test_pairing_diagonal(self):
+        # <g f^m | beta_l> = l! delta_{l,m}, with g f^m built here as a plain product
+        f = sheffer_delta(8)
         for k in (-2, -1, 0, 1, 2):
+            functional = sheffer_invertible(k, 9)  # order 8
             for m in range(9):
-                functional = sheffer_functional(k, m, 8)
+                if m:
+                    functional = functional * f
                 for l in range(9):
                     got = pair(functional, fdpb_poly(l, k))
                     expected = BiPoly.const(factorial(l)) if l == m else ZERO
