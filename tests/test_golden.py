@@ -14,7 +14,9 @@ falling-factorial expansion and the composed series, before both families
 were built from Kaneko's polynomials.  The twelve commands at a rational
 or zero lambda at the end were captured while every family was built in
 Q[L, x] and only then evaluated at lambda, before lambda was threaded
-through the builders.
+through the builders.  The nine carlitz, daehee and bernoulli commands
+past n = 60 were captured while those families were read from their
+generating functions, before they were built from closed sums.
 Changes to the arithmetic core must leave every byte as it is.
 """
 
@@ -91,6 +93,19 @@ def _commands() -> list[tuple[str, ...]]:
         ("table", "--family", "daehee", "--n-max", "12", "--lambda=0"),
         ("poly", "--family", "fdpb", "--k", "2", "--n", "12", "--lambda=0"),
         ("table", "--family", "fdpb", "--k", "-2", "--n-max", "12", "--lambda=0"),
+    ]
+    # carlitz, daehee and bernoulli past n = 60, captured while they were
+    # read from their series, before the closed sums over Stirling rows
+    out += [
+        ("poly", "--family", "carlitz", "--n", "60", "--symbolic"),
+        ("poly", "--family", "carlitz", "--n", "64", "--lambda=-3/2", "--format", "json"),
+        ("table", "--family", "carlitz", "--n-max", "60", "--symbolic", "--format", "json"),
+        ("table", "--family", "carlitz", "--n-max", "64", "--lambda=5/3"),
+        ("poly", "--family", "daehee", "--n", "60", "--symbolic", "--format", "csv"),
+        ("poly", "--family", "daehee", "--n", "62", "--lambda=2/3"),
+        ("table", "--family", "daehee", "--n-max", "60", "--symbolic"),
+        ("table", "--family", "daehee", "--n-max", "64", "--lambda=-3", "--format", "json"),
+        ("poly", "--family", "bernoulli", "--n", "60"),
     ]
     out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
     return out
