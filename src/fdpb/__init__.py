@@ -18,8 +18,10 @@ from .sequences import (
 )
 from .families import (
     carlitz_beta,
+    carlitz_value,
     classical_poly_bernoulli,
     daehee_type_b,
+    daehee_value,
     fdpb_closed,
     fdpb_gf,
     fdpb_poly,
@@ -34,7 +36,8 @@ __all__ = [
     "canonical_string", "parse_poly", "degenerate_pow", "egf_coeff",
     "bernoulli", "bernoulli_second_kind", "gen_falling", "polylog_series",
     "stirling1", "stirling2",
-    "carlitz_beta", "classical_poly_bernoulli", "daehee_type_b",
+    "carlitz_beta", "carlitz_value", "classical_poly_bernoulli",
+    "daehee_type_b", "daehee_value",
     "fdpb_closed", "fdpb_gf", "fdpb_poly", "fdpb_value",
     "IdentityId", "Report", "check", "check_all",
 ]

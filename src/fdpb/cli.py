@@ -7,8 +7,10 @@ Three subcommands:
 * ``verify`` — run the identity suite, exit 0 iff everything passes
 
 All output is exact; no floating point anywhere.  Output is
-byte-deterministic for fixed flags.  A rational ``--lambda`` is handed to
-the family builders, which compute at that value from the start.
+byte-deterministic for fixed flags.  Every value is read from the
+families' closed sums, never from a generating function, and a rational
+``--lambda`` is handed to them, so they compute at that value from the
+start.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ def _family_value(
     """The family's value at arg, built at the rational lam, or in L when it is None."""
     lam = LAM if lam is None else lam
     if family == "bernoulli":
-        return fam.bernoulli_poly(n, arg)
+        return fam.bernoulli_value(n, arg)
     if family == "carlitz":
-        return fam.carlitz_beta(n, arg, lam)
+        return fam.carlitz_value(n, arg, lam)
     if family == "daehee":
-        return fam.daehee_type_b(n, arg, lam)
+        return fam.daehee_value(n, arg, lam)
     if family == "polybernoulli":
         return fam.poly_bernoulli_value(n, k, arg)
     if family == "fdpb":
@@ -89,7 +91,7 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.n_max < 0:
         parser.error(f"--n-max must be >= 0, got {args.n_max}")
     mode = _lambda_mode(args)
-    # the last row first: its series serves every smaller n
+    # the last row first: its row of Kaneko's numbers serves every smaller n
     values = [
         _family_value(args.family, n, args.k, 0, args.lam) for n in range(args.n_max, -1, -1)
     ]

@@ -9,25 +9,28 @@ routes so the test suite can cross-check them:
 * classical poly-Bernoulli        Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}
 * fully degenerate poly-Bernoulli Li_k(1-(1+Lt)^{-1/L})/(1-(1+Lt)^{-1/L}) (1+Lt)^{x/L}
 
-Number values are the x = 0 case.  Both poly-Bernoulli polynomials are
-built from Kaneko's numbers B_l^(k), memoised as integers:
-B_m^(k)(x) = sum_l C(m, l) B_l^(k) x^(m-l) and, as the fdpb generating
-function is the classical one in u = (1/L) log(1 + Lt),
-beta_n^(k)(x) = sum_m S1(n, m) L^(n-m) B_m^(k)(x).  Both are much cheaper
-than their generating functions, which stay available as the oracles.
+Number values are the x = 0 case.  The CLI reads every family from one
+closed sum over integers (:func:`_closed_sum`),
 
-Each generating function is an argument-free quotient q(t) times an
-argument series A(t) = (1+Lt)^{arg/L}, which is e^{arg t} at L = 0.  The
-two polylogarithm quotients Li_k(z)/z are built from the differential
-equation of z, not by composing a series in z.  The longest q built so far
-is kept per family (and per k and lambda) and serves every smaller n.  A
-value n! [t^n] q A is one fused sum of q_j a_(n-j), with the a_j cached
-per (arg, lambda, order) for all families, or n! q_n at arg = 0.
+    sum_m w_m lam^(n-m) sum_l C(m, l) b_l x^(m-l),
 
-The families that depend on L, other than the oracle fdpb_gf, take
-``lam``: the symbol L (the default) or a rational, at which every series,
-Kaneko sum and value is built in Q[x] from the start, never built in
-Q[L, x] and then evaluated.
+at the symbol L or a rational lam alike.  The numbers b_l are Kaneko's
+B_l^(k), held per k as integer numerators over one shared denominator, or
+the Bernoulli numbers B_l = (-1)^l B_l^(1).  The change of variable
+u = (1/L) log(1 + Lt) turns each L-dependent generating function into a
+classical one in u, so the outer weights w_m are a row of Stirling
+numbers: S1(n, m) for fdpb and Daehee, and for Carlitz the row of
+:func:`_carlitz_row`; the classical families, at lam = 0, take the unit
+row.
+
+The generating functions stay available as the oracles.  Each is an
+argument-free quotient q(t) times an argument series
+A(t) = (1+Lt)^{arg/L}, which is e^{arg t} at L = 0.  The two polylogarithm
+quotients Li_k(z)/z are built from the differential equation of z, not by
+composing a series in z.  The longest q built so far is kept per family
+(and per k) and serves every smaller n.  A value n! [t^n] q A is one fused
+sum of q_j a_(n-j), with the a_j cached per (arg, lambda, order) for all
+families, or n! q_n at arg = 0.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import mul
 
 from . import fps
 from .ring import (
@@ -93,28 +97,26 @@ def bernoulli_poly(n: int, arg: ArgLike = X) -> BiPoly:
     return _read(n, arg, ZERO, bernoulli_series)
 
 
-def _degenerate_expm1(lam: BiPoly, order: int) -> fps.Series:
-    return fps.degenerate_pow(ONE, order, lam) - fps.Series.constant(ONE, order)
+def _degenerate_expm1(order: int) -> fps.Series:
+    return fps.degenerate_pow(ONE, order) - fps.Series.constant(ONE, order)
 
 
-def _carlitz_quotient(lam: BiPoly, order: int) -> fps.Series:
-    return fps.series_div(fps.Series.t(order), _degenerate_expm1(lam, order))
+def _carlitz_quotient(order: int) -> fps.Series:
+    return fps.series_div(fps.Series.t(order), _degenerate_expm1(order))
 
 
-def carlitz_beta(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
-    """Carlitz degenerate Bernoulli number/polynomial of index n, at lam."""
-    lam = _coerce(lam)
-    return _read(n, arg, lam, _carlitz_quotient, lam)
+def carlitz_beta(n: int, arg: ArgLike = 0) -> BiPoly:
+    """Carlitz degenerate Bernoulli number/polynomial of index n, from its series."""
+    return _read(n, arg, LAM, _carlitz_quotient)
 
 
-def _daehee_quotient(lam: BiPoly, order: int) -> fps.Series:
-    return fps.series_div(fps.lambda_log(order, lam), _degenerate_expm1(lam, order))
+def _daehee_quotient(order: int) -> fps.Series:
+    return fps.series_div(fps.lambda_log(order), _degenerate_expm1(order))
 
 
-def daehee_type_b(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
-    """Degenerate Bernoulli number/polynomial with the log numerator, at lam."""
-    lam = _coerce(lam)
-    return _read(n, arg, lam, _daehee_quotient, lam)
+def daehee_type_b(n: int, arg: ArgLike = 0) -> BiPoly:
+    """Degenerate Bernoulli number/polynomial with the log numerator, from its series."""
+    return _read(n, arg, LAM, _daehee_quotient)
 
 
 def _polylog_over_z(k: int, lam: BiPoly, order: int) -> fps.Series:
@@ -171,62 +173,124 @@ def _surjection_step(prev: tuple[int, ...], l: int) -> tuple[int, ...]:
     return (0, *(m * (a + b) for m, (a, b) in enumerate(zip(prev, prev[1:] + (0,)), 1)))
 
 
-@lru_cache(maxsize=None)
-def _kaneko(l: int, k: int) -> tuple[int, int]:
-    """Kaneko's poly-Bernoulli number B_l^(k) as (numerator, denominator).
+# k -> numerators of Kaneko's B_0^(k) .. B_N^(k), and their shared denominator
+_KANEKO: dict[int, tuple[tuple[int, ...], int]] = {}
 
-    B_l^(k) = sum_m (-1)^(m+l) m! S2(l, m) (m+1)^(-k).  For k > 0 every
-    term is put over lcm(1..l+1)^k; for k <= 0 the value is an integer.
+
+def _kaneko_row(k: int, n: int) -> tuple[tuple[int, ...], int]:
+    """Kaneko's poly-Bernoulli numbers B_0^(k) .. B_N^(k), N >= n, over one denominator.
+
+    B_l^(k) = sum_m (-1)^(m+l) m! S2(l, m) (m+1)^(-k).  For k > 0 the row
+    is put over lcm(1..N+1)^k; for k <= 0 every number is an integer.  The
+    longest row built serves every smaller n; a longer one rescales it to
+    the new denominator and appends the numbers it lacks.
     """
-    top = lcm(*range(1, l + 2)) if k > 0 else 1
-    num = 0
-    for m, surjections in enumerate(grow(_SURJECTIONS, l, _surjection_step)):
-        power = (top // (m + 1)) ** k if k > 0 else (m + 1) ** -k
-        num += (-1) ** (m + l) * surjections * power
-    return num, (top**k if k > 0 else 1)
+    nums, den = _KANEKO.get(k, ((), 1))
+    if len(nums) > n:
+        return nums, den
+    if k > 0:
+        top = lcm(*range(1, n + 2))
+        power = [(top // (m + 1)) ** k for m in range(n + 1)]
+        scale = top**k // den
+        den = top**k
+    else:
+        power = [(m + 1) ** -k for m in range(n + 1)]
+        scale = 1
+    row = [c * scale for c in nums]
+    for l in range(len(row), n + 1):
+        f = grow(_SURJECTIONS, l, _surjection_step)
+        alternating = sum(map(mul, f[::2], power[::2])) - sum(map(mul, f[1::2], power[1::2]))
+        row.append(-alternating if l % 2 else alternating)
+    _KANEKO[k] = tuple(row), den
+    return _KANEKO[k]
 
 
-def _kaneko_sum(row, k: int, v: ArgLike) -> BiPoly:
-    """sum_l row[l] B_l^(k) v^(n-l), n = len(row) - 1, for one term v, over one lcm."""
-    n = len(row) - 1
-    keys, scale, v_den = _term_powers(v, n)
-    weights = [_kaneko(l, k) for l in range(n + 1)]
-    den = lcm(*(d for _, d in weights))
-    num: dict[int, int] = {}
-    for l, (c, d) in enumerate(weights):
-        key = keys[n - l]
-        num[key] = num.get(key, 0) + row[l] * c * (den // d) * scale[n - l]
-    return BiPoly._make(num, den * v_den)
+def _bernoulli_row(n: int) -> tuple[list[int], int]:
+    """The Bernoulli numbers B_0 .. B_n over one denominator, as (-1)^l B_l^(1)."""
+    nums, den = _kaneko_row(1, n)
+    return [-c if l % 2 else c for l, c in enumerate(nums[: n + 1])], den
+
+
+def _unit_row(n: int) -> tuple[tuple[int, ...], int]:
+    return (0,) * n + (1,), 1
+
+
+def _carlitz_row(n: int) -> tuple[list[int], int]:
+    """w_0 = sum_m S1(n, m)/(m + 1) and w_i = n S1(n-1, i-1)/i, i = 1..n, over lcm(1..n+1).
+
+    In u = (1/L) log(1 + Lt), Carlitz's generating function is
+    ((e^(Lu) - 1)/(Lu)) u e^(xu)/(e^u - 1), so beta_n(x|L) is
+    sum_i w_i L^(n-i) B_i(x) with w_i = sum_(m >= i) S1(n, m) C(m, i)/(m - i + 1)
+    (Carlitz, Utilitas Math. 15, 1979).  That sum_i w_i y^i is the integral
+    of the falling factorial (s)_n over [y, y + 1]; its derivative in y is
+    (y + 1)_n - (y)_n = n (y)_(n-1), which gives w_i for i >= 1 from one row.
+    """
+    top = lcm(*range(1, n + 2))
+    head = sum(s * (top // (m + 1)) for m, s in enumerate(stirling1_row(n)))
+    prev = stirling1_row(n - 1) if n else ()
+    return [head] + [n * prev[i - 1] * (top // i) for i in range(1, n + 1)], top
+
+
+def _closed_sum(outer, row, n: int, arg: ArgLike, lam: ArgLike) -> BiPoly:
+    """sum_m w_m lam^(n-m) sum_l C(m, l) b_l arg^(m-l), m, l = 0..n, in integers.
+
+    outer holds the weights w_0 .. w_n and row the numbers b_0 .. b_n (or
+    more), each as integer numerators over one denominator.  lam is a single
+    term, L or a rational; so is arg, or the sum is built at x and arg
+    substituted.  Every term goes straight into one numerator dict, which
+    is normalised once.
+    """
+    arg = _coerce(arg)
+    if len(arg._num) > 1:
+        return _closed_sum(outer, row, n, X, lam).subst_x(arg)
+    weights, w_den = outer
+    nums, b_den = row
+    lam_keys, lam_scale, lam_den = _term_powers(lam, n)
+    # at arg = 0 only the l = m terms are left, with arg^0 = 1
+    arg_keys, arg_scale, arg_den = _term_powers(arg, n if arg else 0)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for m, w in enumerate(weights):
+        w *= lam_scale[n - m]
+        if not w:
+            continue
+        base = lam_keys[n - m]
+        for l in range(0 if arg else m, m + 1):
+            key = base + arg_keys[m - l]
+            acc[key] = get(key, 0) + w * comb(m, l) * nums[l] * arg_scale[m - l]
+    return BiPoly._make(acc, w_den * b_den * lam_den * arg_den)
 
 
 @lru_cache(maxsize=None)
 def fdpb_closed(n: int, k: int, lam: ArgLike = LAM) -> BiPoly:
-    """Fully degenerate poly-Bernoulli number, sum_l S1(n, l) lam^(n-l) B_l^(k)."""
-    return _kaneko_sum(stirling1_row(n), k, lam)
-
-
-@lru_cache(maxsize=None)
-def _kaneko_poly(m: int, k: int) -> BiPoly:
-    """Kaneko's poly-Bernoulli polynomial B_m^(k)(x) = sum_l C(m, l) B_l^(k) x^(m-l)."""
-    return _kaneko_sum([comb(m, l) for l in range(m + 1)], k, X)
-
-
-def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
-    """Classical poly-Bernoulli number, polynomial or value, from Kaneko's numbers."""
-    arg = _coerce(arg)
-    if arg.is_zero():
-        return BiPoly.const(Fraction(*_kaneko(n, k)))
-    return _kaneko_poly(n, k) if arg == X else _kaneko_poly(n, k).subst_x(arg)
+    """Fully degenerate poly-Bernoulli number, sum_m S1(n, m) lam^(n-m) B_m^(k)."""
+    return _closed_sum((stirling1_row(n), 1), _kaneko_row(k, n), n, ZERO, lam)
 
 
 @lru_cache(maxsize=None)
 def fdpb_poly(n: int, k: int, lam: ArgLike = LAM) -> BiPoly:
-    """The degree-n polynomial, sum_m S1(n, m) lam^(n-m) B_m^(k)(x), in n^2/2 term pairs."""
-    keys, scale, den = _term_powers(lam, n)
-    return sum_of_products(
-        (BiPoly._make({keys[n - m]: s * scale[n - m]}, den), _kaneko_poly(m, k))
-        for m, s in enumerate(stirling1_row(n))
-    )
+    """The degree-n polynomial, sum_m S1(n, m) lam^(n-m) B_m^(k)(x), in n^2/2 terms."""
+    return _closed_sum((stirling1_row(n), 1), _kaneko_row(k, n), n, X, lam)
+
+
+def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
+    """Classical poly-Bernoulli number, polynomial or value, from Kaneko's numbers."""
+    return _closed_sum(_unit_row(n), _kaneko_row(k, n), n, arg, ZERO)
+
+
+def bernoulli_value(n: int, arg: ArgLike = 0) -> BiPoly:
+    """Bernoulli number, polynomial or value, sum_l C(n, l) B_l arg^(n-l)."""
+    return _closed_sum(_unit_row(n), _bernoulli_row(n), n, arg, ZERO)
+
+
+def carlitz_value(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
+    """Carlitz's degenerate Bernoulli number or polynomial at lam, as a closed sum."""
+    return _closed_sum(_carlitz_row(n), _bernoulli_row(n), n, arg, lam)
+
+
+def daehee_value(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
+    """The Daehee-type degenerate value at lam, sum_m S1(n, m) lam^(n-m) B_m(arg)."""
+    return _closed_sum((stirling1_row(n), 1), _bernoulli_row(n), n, arg, lam)
 
 
 def fdpb_value(n: int, k: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:

@@ -12,13 +12,11 @@ integral of f'/f) each take O(N^2) coefficient products (Brent & Kung,
 J. ACM 25, 1978); composition takes about 2 sqrt(N) series products, by
 baby steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput. 2,
 1973).  The one delicate point is that exponents and logarithms of the form
-(1 + lam t)^(mu/lam) and (1/lam) log(1 + lam t) are produced by closed-form
+(1 + lam t)^(mu/lam) and (1/L) log(1 + Lt) are produced by closed-form
 coefficient builders (:func:`degenerate_pow`, :func:`lambda_log`) so that
 no coefficient ever leaves Q[L, x]; dividing literally by the scalar L
-would force a rational-function ring.  Both take lam, the symbol L by
-default or a rational: at a rational lam every coefficient is a
-polynomial in x alone, so a caller that wants one value of L computes in
-Q[x] from the start instead of substituting into the Q[L, x] series.
+would force a rational-function ring.  :func:`degenerate_pow` takes lam,
+the symbol L by default or a rational; at lam = 0 it is exp(mu t).
 """
 
 from __future__ import annotations
@@ -239,15 +237,11 @@ def degenerate_pow(mu: BiPoly | RatLike, order: int, lam: BiPoly | RatLike = LAM
     return Series(coeffs)
 
 
-def lambda_log(order: int, lam: BiPoly | RatLike = LAM) -> Series:
-    """The series (1/lam) log(1 + lam t) = sum (-1)^(n-1) lam^(n-1) t^n / n."""
-    step = -_coerce(lam)
-    coeffs: list[BiPoly] = [ZERO]
-    power = ONE
-    for n in range(1, order + 1):
-        coeffs.append(power / n)
-        power = power * step
-    return Series(coeffs)
+def lambda_log(order: int) -> Series:
+    """The series (1/L) log(1 + Lt) = sum (-1)^(n-1) L^(n-1) t^n / n."""
+    return Series(
+        [ZERO] + [BiPoly({(n - 1, 0): Fraction((-1) ** (n - 1), n)}) for n in range(1, order + 1)]
+    )
 
 
 def egf_coeff(f: Series, n: int) -> BiPoly:

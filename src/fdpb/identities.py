@@ -167,9 +167,15 @@ def _cells_thm3(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_thm4(n_max: int, ks: range) -> Iterator[Cell]:
+    # each family's closed sum against its generating function; the k-free
+    # ones as polynomials in L and x
     for k in ks:
         for n in range(n_max + 1):
             yield n, k, fam.fdpb_gf(n, k), fam.fdpb_closed(n, k)
+    for n in range(n_max + 1):
+        yield n, None, fam.carlitz_beta(n, X), fam.carlitz_value(n, X)
+        yield n, None, fam.daehee_type_b(n, X), fam.daehee_value(n, X)
+        yield n, None, fam.bernoulli_poly(n), fam.bernoulli_value(n, X)
 
 
 def _cells_thm5(n_max: int, ks: range) -> Iterator[Cell]:

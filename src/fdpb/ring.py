@@ -91,7 +91,7 @@ class BiPoly:
     in the canonical form described in the module docstring.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: dict[Key, RatLike] | None = None):
         rats = {_key(*key): _rat(c) for key, c in terms.items()} if terms else {}
@@ -173,7 +173,13 @@ class BiPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._num.items())))
+        # computed on first use and kept: memo caches keyed by a BiPoly
+        # hash it on every lookup
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self._den, frozenset(self._num.items())))
+            return self._hash
 
     def _plus(self, other: BiPoly, sign: int) -> BiPoly:
         """self + sign * other, over the lcm of the two denominators."""

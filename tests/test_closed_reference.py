@@ -8,6 +8,9 @@ expansion now checks a different route.  Every value must be the same
 polynomial.
 """
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
 import closed_reference as ref
@@ -35,7 +38,10 @@ def test_x_derivative_matches_omit_one_products(k):
 
 
 def test_kaneko_weight_denominator():
-    # B_3^(2) = -1/24 and B_3^(-2) = 46 in Kaneko's table; the first is
-    # stored over lcm(1..4)^2 = 144, the second is an integer
-    assert fam._kaneko(3, 2) == (-6, 144)
-    assert fam._kaneko(3, -2) == (46, 1)
+    # B_3^(2) = -1/24 and B_3^(-2) = 46 in Kaneko's table; a row for k > 0
+    # is kept over lcm(1..N+1)^k, N its last index, one for k <= 0 in integers
+    nums, den = fam._kaneko_row(2, 3)
+    assert den == lcm(*range(1, len(nums) + 1)) ** 2
+    assert Fraction(nums[3], den) == Fraction(-1, 24)
+    nums, den = fam._kaneko_row(-2, 3)
+    assert (nums[3], den) == (46, 1)

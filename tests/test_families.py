@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from fdpb import fps
+from fdpb import families, fps
 from fdpb.ring import LAM, ONE, X, ZERO, BiPoly
 from fdpb.families import (
     RouteMismatch,
     bernoulli_poly,
+    bernoulli_value,
     carlitz_beta,
+    carlitz_value,
     classical_poly_bernoulli,
     daehee_type_b,
+    daehee_value,
     fdpb_closed,
     fdpb_gf,
     fdpb_iterated_integral,
@@ -64,6 +67,47 @@ class TestDaehee:
     def test_lambda_zero_gives_bernoulli(self):
         for n in range(13):
             assert daehee_type_b(n, X).eval_at(lam=0) == bernoulli_poly(n)
+
+
+class TestClosedSums:
+    @pytest.mark.parametrize(
+        "arg", (0, X, HALF, -1, X + LAM), ids=("0", "x", "1/2", "-1", "x+L")
+    )
+    def test_match_series(self, arg):
+        # the CLI's routes for the k-free families against their series
+        for n in range(21):
+            assert carlitz_value(n, arg) == carlitz_beta(n, arg), n
+            assert daehee_value(n, arg) == daehee_type_b(n, arg), n
+            assert bernoulli_value(n, arg) == bernoulli_poly(n, arg), n
+
+    def test_values_do_not_depend_on_call_order(self):
+        # a Kaneko row grown one n at a time is rescaled to each larger
+        # denominator; it must give the values of a row built at once
+        def take(ns):
+            families._KANEKO.clear()
+            fdpb_closed.cache_clear()
+            return {
+                n: (fdpb_closed(n, 2), poly_bernoulli_value(n, -2, X), carlitz_value(n))
+                for n in ns
+            }
+
+        assert take(range(25)) == take(range(24, -1, -1))
+
+    def test_first_values(self):
+        assert carlitz_value(1) == (LAM - ONE) / 2
+        assert daehee_value(1, X) == X - HALF
+        assert bernoulli_value(2, X) == X * X - X + BiPoly.const(Fraction(1, 6))
+
+    def test_equal_values_by_two_routes_hash_equal(self):
+        # the hash is kept per instance, and an equal value built by another
+        # route must find the first in a memo
+        for closed, series in (
+            (fdpb_poly(12, 2), fdpb_gf(12, 2, X)),
+            (carlitz_value(9, X), carlitz_beta(9, X)),
+        ):
+            assert closed is not series
+            assert hash(closed) == hash(series) == hash(closed)
+            assert {closed: True}[series]
 
 
 class TestClassicalPolyBernoulli:

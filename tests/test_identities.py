@@ -76,19 +76,34 @@ def _perturbed(fn, at):
 
 @pytest.fixture
 def patch_kaneko(monkeypatch):
-    """Patch a name in families, with the caches built on Kaneko's numbers
+    """Patch a name in families, with the values built on the Kaneko rows
     cleared before the patch and after the test, so that no value computed
     before it hides the patch and none computed under it outlives it."""
-    caches = (fam._kaneko, fam.fdpb_closed, fam._kaneko_poly, fam.fdpb_poly)
+
+    def clear():
+        fam._KANEKO.clear()
+        fam.fdpb_closed.cache_clear()
+        fam.fdpb_poly.cache_clear()
 
     def patch(name, value):
-        for cache in caches:
-            cache.cache_clear()
+        clear()
         monkeypatch.setattr(fam, name, value)
 
     yield patch
-    for cache in caches:
-        cache.cache_clear()
+    clear()
+
+
+def _perturbed_row(row_of, l, change):
+    """row_of with its number b_l changed to change(b_l), in the row's numerators."""
+
+    def perturbed(*args):
+        nums, den = row_of(*args)
+        nums = list(nums)
+        if len(nums) > l:
+            nums[l] = change(nums[l], den)
+        return nums, den
+
+    return perturbed
 
 
 @pytest.fixture
@@ -117,22 +132,39 @@ def patch_quotient(monkeypatch):
 class TestPerturbationIsCaught:
     def test_kaneko_sign_flip(self, patch_kaneko):
         # B_3^(2) = -1/24, so the flip moves every fdpb_closed(n, 2), n >= 3
-        original = fam._kaneko
-
-        def flipped(l, k):
-            num, den = original(l, k)
-            return (-num if (l, k) == (3, 2) else num), den
-
-        patch_kaneko("_kaneko", flipped)
+        original = fam._kaneko_row
+        flipped = _perturbed_row(original, 3, lambda c, den: -c)
+        patch_kaneko("_kaneko_row", lambda k, n: (flipped if k == 2 else original)(k, n))
         report = check("THM4_CLOSED", n_max=5, k_range=(2, 2))
         assert not report.passed
         assert report.counterexample.n == 3
 
     def test_kaneko_polynomial(self, patch_kaneko):
-        patch_kaneko("_kaneko_poly", _perturbed(fam._kaneko_poly, (4, 2)))
+        # B_4^(2) + 1 moves the constant term of every fdpb_poly(n, 2), n >= 4
+        original = fam._kaneko_row
+        plus_one = _perturbed_row(original, 4, lambda c, den: c + den)
+        patch_kaneko("_kaneko_row", lambda k, n: (plus_one if k == 2 else original)(k, n))
         report = check("THM1_LIMIT", n_max=6, k_range=(2, 2))
         assert not report.passed
         assert (report.counterexample.n, report.counterexample.k) == (4, 2)
+
+    def test_carlitz_weight(self, monkeypatch):
+        # w_1 + 1 in the row of beta_3(x|L) adds L^2 B_1(x) to its closed sum
+        original = fam._carlitz_row
+        plus_one = _perturbed_row(original, 1, lambda c, den: c + den)
+        monkeypatch.setattr(
+            fam, "_carlitz_row", lambda n: (plus_one if n == 3 else original)(n)
+        )
+        report = check("THM4_CLOSED", n_max=5, k_range=(1, 1))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (3, None)
+
+    def test_bernoulli_sign(self, monkeypatch):
+        # B_l^(1) without the sign (-1)^l reads B_1 = 1/2
+        monkeypatch.setattr(fam, "_bernoulli_row", lambda n: fam._kaneko_row(1, n))
+        report = check("THM4_CLOSED", n_max=5, k_range=(1, 1))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (1, None)
 
     def test_fdpb_quotient(self, patch_quotient):
         patch_quotient("_fdpb_quotient", 3, 2)

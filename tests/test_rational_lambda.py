@@ -1,9 +1,10 @@
-"""Families built at a rational lambda against the symbolic family evaluated there.
+"""The closed sums at a rational lambda against the series in L evaluated there.
 
-The L-dependent builders the CLI reads take ``lam``, the symbol L or a
-rational.  At a rational each computes in Q[x] from the start; the value
-must be the one the Q[L, x] build gives after ``eval_at(lam=r)``, and the
-CLI must reach it without substituting at all.
+The CLI reads every family from its closed sum, which takes ``lam``, the
+symbol L or a rational, and at a rational computes in Q[x] from the start.
+Each value must be the one the family's generating function gives in
+Q[L, x] after ``eval_at(lam=r)``: two independent routes.  The CLI must
+reach it without substituting, and without building any series at all.
 """
 
 from fractions import Fraction
@@ -16,7 +17,12 @@ from fdpb.ring import BiPoly, X
 
 N_MAX = 32
 LAMBDAS = (0, Fraction(1, 2), Fraction(-1, 2), 3, Fraction(-7, 3))
-ROUTES = [(fam.carlitz_beta, None), (fam.daehee_type_b, None), (fam.fdpb_value, -2)]
+# (the closed sum, the series in L, k)
+ROUTES = [
+    pytest.param(fam.carlitz_value, fam.carlitz_beta, None, id="carlitz_beta-None"),
+    pytest.param(fam.daehee_value, fam.daehee_type_b, None, id="daehee_type_b-None"),
+    pytest.param(fam.fdpb_value, fam.fdpb_gf, -2, id="fdpb_value--2"),
+]
 
 
 def _value(route, k, n, arg, **lam):
@@ -24,13 +30,13 @@ def _value(route, k, n, arg, **lam):
 
 
 @pytest.mark.parametrize("r", LAMBDAS, ids=str)
-@pytest.mark.parametrize("route, k", ROUTES, ids=lambda v: getattr(v, "__name__", str(v)))
-def test_built_at_lambda_equals_symbolic_evaluated(route, k, r):
+@pytest.mark.parametrize("closed, series, k", ROUTES)
+def test_built_at_lambda_equals_symbolic_evaluated(closed, series, k, r):
     for arg in (0, X):
         for n in range(N_MAX, -1, -1):
-            at_r = _value(route, k, n, arg, lam=r)
+            at_r = _value(closed, k, n, arg, lam=r)
             assert at_r.is_lambda_free(), (n, arg)
-            assert at_r == _value(route, k, n, arg).eval_at(lam=r), (n, arg)
+            assert at_r == _value(series, k, n, arg).eval_at(lam=r), (n, arg)
 
 
 def test_rational_commands_never_substitute(monkeypatch, capsys):
@@ -44,13 +50,13 @@ def test_rational_commands_never_substitute(monkeypatch, capsys):
         ("table", "--family", "daehee", "--n-max", "20", "--lambda=-7/3"),
         ("poly", "--family", "fdpb", "--k", "2", "--n", "20", "--lambda=3"),
         ("table", "--family", "fdpb", "--k", "-1", "--n-max", "20", "--lambda=0"),
+        ("poly", "--family", "bernoulli", "--n", "20", "--lambda=1/2"),
+        ("table", "--family", "polybernoulli", "--k", "2", "--n-max", "20", "--lambda=3"),
     ]
     try:
         for argv in commands:
             assert main(list(argv)) == 0
         assert capsys.readouterr().out.count("L") == 0
-        assert fam._quotients, "the series commands built no quotient"
-        for series in fam._quotients.values():
-            assert all(c.is_lambda_free() for c in series.coeffs)
+        assert not fam._quotients, "a CLI command built a generating function"
     finally:
         fam._quotients.clear()
