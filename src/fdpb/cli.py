@@ -11,15 +11,21 @@ byte-deterministic for fixed flags.  Every value is read from the
 families' closed sums, never from a generating function, and a rational
 ``--lambda`` is handed to them, so they compute at that value from the
 start.
+
+Options are read against one table, ``OPTIONS``, which also renders
+``-h``/``--help``.  Only exact option names are accepted, as
+``--opt value`` or ``--opt=value``.  The token after an option is always
+its value, so ``--lambda -1/2`` needs no ``=``, and a value that starts
+with ``--`` counts as missing.  A repeated option keeps its last value.
+A usage error prints the usage line and the error to stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import families as fam
@@ -32,11 +38,8 @@ FAMILIES = ("bernoulli", "carlitz", "daehee", "polybernoulli", "fdpb")
 POLY_FAMILIES = ("polybernoulli", "fdpb")
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"malformed rational {text!r}")
+class UsageError(Exception):
+    """A command line that cannot run; ``main`` reports it and exits 2."""
 
 
 def _family_value(
@@ -57,14 +60,14 @@ def _family_value(
     raise ValueError(f"unknown family {family!r}")
 
 
-def _check_k(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _check_k(args: SimpleNamespace) -> None:
     if args.family in POLY_FAMILIES and args.k is None:
-        parser.error(f"--k is required for family {args.family!r}")
+        raise UsageError(f"--k is required for family {args.family!r}")
     if args.family not in POLY_FAMILIES and args.k is not None:
-        parser.error(f"--k does not apply to family {args.family!r}")
+        raise UsageError(f"--k does not apply to family {args.family!r}")
 
 
-def _lambda_mode(args: argparse.Namespace) -> str:
+def _lambda_mode(args: SimpleNamespace) -> str:
     return "symbolic" if args.lam is None else str(args.lam)
 
 
@@ -75,7 +78,7 @@ def _record(family: str, n: int, k: Optional[int], mode: str, value: str) -> dic
     return rec
 
 
-def _emit(parser: argparse.ArgumentParser, text: str, out_path: Optional[str]) -> None:
+def _emit(text: str, out_path: Optional[str]) -> None:
     if not out_path:
         sys.stdout.write(text)
         return
@@ -83,13 +86,13 @@ def _emit(parser: argparse.ArgumentParser, text: str, out_path: Optional[str]) -
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        parser.error(f"cannot write --out: {exc}")
+        raise UsageError(f"cannot write --out: {exc}")
 
 
-def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_k(parser, args)
+def cmd_table(args: SimpleNamespace) -> int:
+    _check_k(args)
     if args.n_max < 0:
-        parser.error(f"--n-max must be >= 0, got {args.n_max}")
+        raise UsageError(f"--n-max must be >= 0, got {args.n_max}")
     mode = _lambda_mode(args)
     # the last row first: its row of Kaneko's numbers serves every smaller n
     values = [
@@ -104,14 +107,14 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, indent=2) + "\n"
-    _emit(parser, text, args.out)
+    _emit(text, args.out)
     return 0
 
 
-def cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_k(parser, args)
+def cmd_poly(args: SimpleNamespace) -> int:
+    _check_k(args)
     if args.n < 0:
-        parser.error(f"--n must be >= 0, got {args.n}")
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     mode = _lambda_mode(args)
     rendered = canonical_string(_family_value(args.family, args.n, args.k, X, args.lam))
     if args.format == "json":
@@ -121,7 +124,7 @@ def cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         text = f"n,value\n{args.n},{rendered}\n"
     else:
         text = rendered + "\n"
-    _emit(parser, text, args.out)
+    _emit(text, args.out)
     return 0
 
 
@@ -139,7 +142,7 @@ def _format_report(report: identities.Report) -> str:
     )
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     k_range = (args.k_min, args.k_max)
     try:
         if args.suite == "all":
@@ -147,9 +150,9 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         else:
             reports = [identities.check(args.suite, args.n_max, k_range)]
     except identities.UnknownIdentity:
-        parser.error(f"unknown identity suite {args.suite!r}")
+        raise UsageError(f"unknown identity suite {args.suite!r}")
     except identities.EmptyRange as exc:
-        parser.error(str(exc))
+        raise UsageError(str(exc))
     if args.format == "json":
         sys.stdout.write(identities.reports_to_json(reports) + "\n")
     else:
@@ -158,70 +161,155 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0 if all(r.passed for r in reports) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fdpb",
-        description="Exact tables, polynomials and identity checks for "
-        "degenerate Bernoulli-type families.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_ABOUT = "Exact tables, polynomials and identity checks for degenerate Bernoulli-type families."
+COMMANDS = {
+    "table": (cmd_table, "number-family table for n = 0..n_max, in L unless --lambda"),
+    "poly": (cmd_poly, "one polynomial in canonical form, in L unless --lambda"),
+    "verify": (cmd_verify, 'run identity checks; --suite is "all" or one identity name'),
+}
 
-    table = sub.add_parser("table", help="number-family table for n = 0..n_max")
-    table.add_argument("--family", required=True, choices=FAMILIES)
-    table.add_argument("--k", type=int, default=None)
-    table.add_argument("--n-max", type=int, default=12)
-    group = table.add_mutually_exclusive_group()
-    group.add_argument("--lambda", dest="lam", type=_parse_rational, default=None,
-                       metavar="P/Q")
-    group.add_argument("--symbolic", dest="lam", action="store_const", const=None)
-    table.add_argument("--format", choices=("json", "csv"), default="csv")
-    table.add_argument("--out", default=None)
-    table.set_defaults(func=cmd_table)
+REQUIRED = object()  # the default of an option that must be given
+_LAMBDA = {"--lambda": ("lam", Fraction, None), "--symbolic": ("lam", None, None)}
 
-    poly = sub.add_parser("poly", help="one polynomial in canonical form")
-    poly.add_argument("--family", required=True, choices=FAMILIES)
-    poly.add_argument("--k", type=int, default=None)
-    poly.add_argument("--n", type=int, required=True)
-    group = poly.add_mutually_exclusive_group()
-    group.add_argument("--lambda", dest="lam", type=_parse_rational, default=None,
-                       metavar="P/Q")
-    group.add_argument("--symbolic", dest="lam", action="store_const", const=None)
-    poly.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    poly.add_argument("--out", default=None)
-    poly.set_defaults(func=cmd_poly)
-
-    verify = sub.add_parser("verify", help="run identity checks")
-    verify.add_argument("--suite", default="all",
-                        help='"all" or a single identity name')
-    verify.add_argument("--n-max", type=int, default=12)
-    verify.add_argument("--k-min", type=int, default=-3)
-    verify.add_argument("--k-max", type=int, default=3)
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.set_defaults(func=cmd_verify)
-
-    return parser
+# command -> {option: (dest, parse, default)}.  parse is a callable, a
+# tuple of choices, or None for a flag, which stores its default.  Options
+# that share a dest may not be given together.
+OPTIONS = {
+    "table": {
+        "--family": ("family", FAMILIES, REQUIRED),
+        "--k": ("k", int, None),
+        "--n-max": ("n_max", int, 12),
+        **_LAMBDA,
+        "--format": ("format", ("json", "csv"), "csv"),
+        "--out": ("out", str, None),
+    },
+    "poly": {
+        "--family": ("family", FAMILIES, REQUIRED),
+        "--k": ("k", int, None),
+        "--n": ("n", int, REQUIRED),
+        **_LAMBDA,
+        "--format": ("format", ("text", "json", "csv"), "text"),
+        "--out": ("out", str, None),
+    },
+    "verify": {
+        "--suite": ("suite", str, "all"),
+        "--n-max": ("n_max", int, 12),
+        "--k-min": ("k_min", int, -3),
+        "--k-max": ("k_max", int, 3),
+        "--format": ("format", ("text", "json"), "text"),
+    },
+}
+_METAVARS = {int: "INT", Fraction: "P/Q", None: ""}
+_HELP = ("-h", "--help")
 
 
-def _attach_negative_lambda(argv: Sequence[str]) -> list[str]:
-    """Rewrite "--lambda -1/2" as "--lambda=-1/2".
+def _metavar(dest: str, parse) -> str:
+    return _METAVARS.get(parse, dest.upper())
 
-    argparse reads a token that starts with "-" as an option unless it is
-    a plain negative decimal, so a negative fraction needs the "=" form.
-    """
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] == "--lambda" and re.match(r"-\.?\d", token):
-            out[-1] = f"--lambda={token}"
+
+def _parse(command: str, tokens: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The options of command read from tokens, or None when they ask for help."""
+    table = OPTIONS[command]
+    values = {dest: default for dest, parse, default in table.values() if parse is not None}
+    given: dict[str, str] = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in _HELP:
+            return None
+        option, eq, value = token.partition("=")
+        if option not in table:
+            raise UsageError(f"unrecognized arguments: {token}")
+        dest, parse, default = table[option]
+        if given.setdefault(dest, option) != option:
+            raise UsageError(f"argument {option}: not allowed with argument {given[dest]}")
+        if parse is None:
+            if eq:
+                raise UsageError(f"argument {option}: ignored explicit argument {value!r}")
+            values[dest] = default
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"argument {option}: expected one argument")
+        if isinstance(parse, tuple):
+            if value not in parse:
+                choices = ", ".join(map(repr, parse))
+                raise UsageError(
+                    f"argument {option}: invalid choice: {value!r} (choose from {choices})"
+                )
         else:
-            out.append(token)
-    return out
+            try:
+                value = parse(value)
+            except (ValueError, ZeroDivisionError):
+                raise UsageError(
+                    f"argument {option}: invalid {_metavar(dest, parse)} value: {value!r}"
+                ) from None
+        values[dest] = value
+    missing = [o for o, (dest, _, d) in table.items() if d is REQUIRED and dest not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**values)
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: fdpb {" + ",".join(COMMANDS) + "} ...\n"
+    parts = []
+    for option, (dest, parse, default) in OPTIONS[command].items():
+        part = f"{option} {_metavar(dest, parse)}".rstrip()
+        parts.append(part if default is REQUIRED else f"[{part}]")
+    return f"usage: fdpb {command} [-h] {' '.join(parts)}\n"
+
+
+def _help(command: Optional[str]) -> str:
+    """The usage line and one row per command (no command) or per option."""
+    if command is None:
+        about = _ABOUT
+        title, rows = "commands", [(name, summary) for name, (_, summary) in COMMANDS.items()]
+    else:
+        about, title = COMMANDS[command][1], "options"
+        rows = [(", ".join(_HELP), "print this help")]
+        table = OPTIONS[command]
+        for option, (dest, parse, default) in table.items():
+            notes = [f"one of {', '.join(parse)}"] if isinstance(parse, tuple) else []
+            if default is REQUIRED:
+                notes.append("required")
+            elif parse is None:
+                notes.append("flag")
+            else:
+                notes.append(f"default: {'none' if default is None else default}")
+            others = [o for o, spec in table.items() if spec[0] == dest and o != option]
+            if others:
+                notes.append(f"not with {', '.join(others)}")
+            rows.append((f"{option} {_metavar(dest, parse)}".rstrip(), "; ".join(notes)))
+    width = max(len(left) for left, _ in rows)
+    body = "".join(f"  {left.ljust(width)}  {right}\n" for left, right in rows)
+    return f"{_usage(command)}\n{about}\n\n{title}:\n{body}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_negative_lambda(argv))
-    return args.func(parser, args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _HELP:
+        sys.stdout.write(_help(None))
+        return 0
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    try:
+        if not argv:
+            raise UsageError("the following arguments are required: command")
+        if command is None:
+            choices = ", ".join(map(repr, COMMANDS))
+            raise UsageError(
+                f"argument command: invalid choice: {argv[0]!r} (choose from {choices})"
+            )
+        args = _parse(command, argv[1:])
+        if args is None:
+            sys.stdout.write(_help(command))
+            return 0
+        return COMMANDS[command][0](args)
+    except UsageError as exc:
+        prog = "fdpb" if command is None else f"fdpb {command}"
+        sys.stderr.write(f"{_usage(command)}{prog}: error: {exc}\n")
+        raise SystemExit(USAGE_ERROR)
 
 
 if __name__ == "__main__":

@@ -289,11 +289,11 @@ def _cells_eq60(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_iterated(n_max: int, ks: range) -> Iterator[Cell]:
-    n_cap = min(n_max, 10)
+    """n = 0..n_max for every k >= 2 of ks, and always for k = 2, 3, 4."""
     k_set = sorted(set(k for k in ks if k >= 2) | {2, 3, 4})
     for k in k_set:
-        series = fam.fdpb_iterated_integral(k, n_cap)
-        for n in range(n_cap + 1):
+        series = fam.fdpb_iterated_integral(k, n_max)
+        for n in range(n_max + 1):
             yield n, k, fps.egf_coeff(series, n), fam.fdpb_closed(n, k)
 
 

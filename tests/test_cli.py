@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fdpb.cli import main
+from fdpb.cli import COMMANDS, OPTIONS, REQUIRED, main
 from fdpb.ring import X, parse_poly
 
 
@@ -252,3 +255,93 @@ class TestDeterminism:
         code2, second = run(capsys, *args)
         assert code1 == code2 == 0
         assert first == second
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (POLY + ("--format", "json"), ("poly", "--format", "json", "--n", "3", "--k", "2",
+                                           "--family", "fdpb")),
+            (TABLE + ("--format", "json"), ("table", "--family=fdpb", "--k=2", "--n-max=3",
+                                            "--format=json")),
+            (("poly", "--family", "fdpb", "--k", "-3", "--n", "2"),
+             ("poly", "--family", "fdpb", "--k=-3", "--n", "2")),
+            (POLY + ("--format", "csv", "--format", "json"), POLY + ("--format", "json")),
+            (POLY + ("--k", "5", "--k", "-1"), ("poly", "--family", "fdpb", "--k", "-1",
+                                                "--n", "3")),
+            (POLY + ("--symbolic", "--symbolic"), POLY),
+        ],
+    )
+    def test_equivalent_spellings_print_the_same_bytes(self, capsys, first, second):
+        code_first, out_first = run(capsys, *first)
+        code_second, out_second = run(capsys, *second)
+        assert code_first == code_second == 0
+        assert out_first == out_second != ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (POLY + ("--colour", "red"), "unrecognized arguments: --colour"),
+            (("poly", "--fam", "fdpb", "--k", "2", "--n", "3"), "unrecognized"),
+            (("table", "--family", "fdpb", "--k", "2", "--n", "3"), "unrecognized"),
+            (POLY + ("stray",), "unrecognized arguments: stray"),
+            (POLY + ("--out",), "--out: expected one argument"),
+            (POLY + ("--out", "--format", "json"), "--out: expected one argument"),
+            (POLY + ("--lambda", "1/2", "--symbolic"), "not allowed with argument --lambda"),
+            (POLY + ("--symbolic=yes",), "ignored explicit argument 'yes'"),
+            (("poly", "--family", "euler", "--n", "3"), "invalid choice: 'euler'"),
+            (POLY + ("--format", "xml"), "invalid choice: 'xml'"),
+            (("poly", "--family", "fdpb", "--k", "two", "--n", "3"), "--k: invalid INT"),
+            (("poly", "--k", "2", "--n", "3"), "required: --family"),
+            (("poly", "--family", "fdpb", "--k", "2"), "required: --n"),
+            (("table", "--k", "2"), "required: --family"),
+            (("verify", "--n-max", "1.5"), "--n-max: invalid INT"),
+            (("tabel", "--family", "fdpb"), "invalid choice: 'tabel'"),
+            ((), "required: command"),
+            (POLY + ("--lambda", "1/0"), "--lambda: invalid P/Q value: '1/0'"),
+        ],
+    )
+    def test_usage_errors_exit_2_with_a_message(self, capsys, argv, message):
+        assert run_expect_usage_error(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert captured.err.startswith("usage: fdpb")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_the_commands(self, capsys, flag):
+        code, out = run(capsys, flag)
+        assert code == 0
+        assert out.startswith("usage: fdpb ")
+        assert all(f"  {name} " in out for name in COMMANDS)
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_help_lists_every_option_its_choices_and_default(self, capsys, command):
+        code, out = run(capsys, command, "-h")
+        assert code == 0
+        assert out.startswith(f"usage: fdpb {command} ")
+        for option, (_, parse, default) in OPTIONS[command].items():
+            row = next(line for line in out.splitlines() if line.split()[:1] == [option])
+            if isinstance(parse, tuple):
+                assert all(choice in row for choice in parse)
+            if default is REQUIRED:
+                assert "required" in row
+            elif default is not None:
+                assert f"default: {default}" in row
+
+    def test_a_command_imports_no_argparse(self):
+        # argparse's parser loads gettext and locale in a cold process
+        script = (
+            "import sys\n"
+            "from fdpb.cli import main\n"
+            "main(['poly', '--family', 'fdpb', '--k', '2', '--n', '3', '--lambda', '-1/2'])\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"

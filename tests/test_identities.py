@@ -53,6 +53,12 @@ class TestSingleChecks:
         with pytest.raises(EmptyRange):
             check("THM1_ADDITION", n_max=0)
 
+    def test_iterated_integral_reaches_n_max(self, monkeypatch):
+        # the cells run to n = n_max, and k = 2, 3, 4 are checked whatever the k range
+        monkeypatch.setattr(fam, "fdpb_closed", _perturbed(fam.fdpb_closed, (12, 2)))
+        report = check("ITERATED_INTEGRAL", n_max=12, k_range=(0, 0))
+        assert (report.counterexample.n, report.counterexample.k) == (12, 2)
+
     def test_negative_index_needs_a_nonnegative_k(self):
         with pytest.raises(EmptyRange):
             check("THM6_NEGATIVE", n_max=3, k_range=(-3, -1))
