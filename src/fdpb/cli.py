@@ -8,9 +8,10 @@ Three subcommands:
 
 All output is exact; no floating point anywhere.  Output is
 byte-deterministic for fixed flags.  Every value is read from the
-families' closed sums, never from a generating function, and a rational
-``--lambda`` is handed to them, so they compute at that value from the
-start.
+families' closed sums through ``FAMILIES``, one reader per family, never
+from a generating function or a memo (the fdpb memos hold values at L
+only, for the identity checks).  A rational ``--lambda`` is handed to the
+closed sums, so they compute at that value from the start.
 
 Options are read against one table, ``OPTIONS``, which also renders
 ``-h``/``--help``.  Only exact option names are accepted, as
@@ -34,30 +35,24 @@ from .ring import LAM, BiPoly, X, canonical_string
 
 USAGE_ERROR = 2
 
-FAMILIES = ("bernoulli", "carlitz", "daehee", "polybernoulli", "fdpb")
-POLY_FAMILIES = ("polybernoulli", "fdpb")
+# family -> (whether it takes --k, its value at (n, k, arg, lam) from its closed sum)
+FAMILIES = {
+    "bernoulli": (False, lambda n, k, arg, lam: fam.bernoulli_value(n, arg)),
+    "carlitz": (False, lambda n, k, arg, lam: fam.carlitz_value(n, arg, lam)),
+    "daehee": (False, lambda n, k, arg, lam: fam.daehee_value(n, arg, lam)),
+    "polybernoulli": (True, lambda n, k, arg, lam: fam.poly_bernoulli_value(n, k, arg)),
+    "fdpb": (True, lambda n, k, arg, lam: fam.fdpb_value(n, k, arg, lam)),
+}
+POLY_FAMILIES = tuple(name for name, (takes_k, _) in FAMILIES.items() if takes_k)
 
 
 class UsageError(Exception):
     """A command line that cannot run; ``main`` reports it and exits 2."""
 
 
-def _family_value(
-    family: str, n: int, k: Optional[int], arg: BiPoly | int, lam: Optional[Fraction]
-) -> BiPoly:
-    """The family's value at arg, built at the rational lam, or in L when it is None."""
-    lam = LAM if lam is None else lam
-    if family == "bernoulli":
-        return fam.bernoulli_value(n, arg)
-    if family == "carlitz":
-        return fam.carlitz_value(n, arg, lam)
-    if family == "daehee":
-        return fam.daehee_value(n, arg, lam)
-    if family == "polybernoulli":
-        return fam.poly_bernoulli_value(n, k, arg)
-    if family == "fdpb":
-        return fam.fdpb_value(n, k, arg, lam)
-    raise ValueError(f"unknown family {family!r}")
+def _family_value(args: SimpleNamespace, n: int, arg: BiPoly | int) -> BiPoly:
+    """The value of --family at n and arg, built at the rational --lambda, or in L."""
+    return FAMILIES[args.family][1](n, args.k, arg, LAM if args.lam is None else args.lam)
 
 
 def _check_k(args: SimpleNamespace) -> None:
@@ -95,9 +90,7 @@ def cmd_table(args: SimpleNamespace) -> int:
         raise UsageError(f"--n-max must be >= 0, got {args.n_max}")
     mode = _lambda_mode(args)
     # the last row first: its row of Kaneko's numbers serves every smaller n
-    values = [
-        _family_value(args.family, n, args.k, 0, args.lam) for n in range(args.n_max, -1, -1)
-    ]
+    values = [_family_value(args, n, 0) for n in range(args.n_max, -1, -1)]
     rows = [
         _record(args.family, n, args.k, mode, canonical_string(value))
         for n, value in enumerate(reversed(values))
@@ -116,7 +109,7 @@ def cmd_poly(args: SimpleNamespace) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {args.n}")
     mode = _lambda_mode(args)
-    rendered = canonical_string(_family_value(args.family, args.n, args.k, X, args.lam))
+    rendered = canonical_string(_family_value(args, args.n, X))
     if args.format == "json":
         record = _record(args.family, args.n, args.k, mode, rendered)
         text = json.dumps(record, indent=2) + "\n"
@@ -176,7 +169,7 @@ _LAMBDA = {"--lambda": ("lam", Fraction, None), "--symbolic": ("lam", None, None
 # that share a dest may not be given together.
 OPTIONS = {
     "table": {
-        "--family": ("family", FAMILIES, REQUIRED),
+        "--family": ("family", tuple(FAMILIES), REQUIRED),
         "--k": ("k", int, None),
         "--n-max": ("n_max", int, 12),
         **_LAMBDA,
@@ -184,7 +177,7 @@ OPTIONS = {
         "--out": ("out", str, None),
     },
     "poly": {
-        "--family": ("family", FAMILIES, REQUIRED),
+        "--family": ("family", tuple(FAMILIES), REQUIRED),
         "--k": ("k", int, None),
         "--n": ("n", int, REQUIRED),
         **_LAMBDA,

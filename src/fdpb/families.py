@@ -9,8 +9,9 @@ routes so the test suite can cross-check them:
 * classical poly-Bernoulli        Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}
 * fully degenerate poly-Bernoulli Li_k(1-(1+Lt)^{-1/L})/(1-(1+Lt)^{-1/L}) (1+Lt)^{x/L}
 
-Number values are the x = 0 case.  The CLI reads every family from one
-closed sum over integers (:func:`_closed_sum`),
+Number values are the x = 0 case.  The ``*_value`` routes, which the CLI
+reads, make each family at any lambda and argument from one closed sum
+over integers (:func:`_closed_sum`),
 
     sum_m w_m lam^(n-m) sum_l C(m, l) b_l x^(m-l),
 
@@ -21,7 +22,8 @@ u = (1/L) log(1 + Lt) turns each L-dependent generating function into a
 classical one in u, so the outer weights w_m are a row of Stirling
 numbers: S1(n, m) for fdpb and Daehee, and for Carlitz the row of
 :func:`_carlitz_row`; the classical families, at lam = 0, take the unit
-row.
+row.  The identity checks re-read fdpb at L, so that alone is memoised:
+:func:`fdpb_closed` and :func:`fdpb_poly`.
 
 The generating functions stay available as the oracles.  Each is an
 argument-free quotient q(t) times an argument series
@@ -216,7 +218,7 @@ def _unit_row(n: int) -> tuple[tuple[int, ...], int]:
 
 
 def _carlitz_row(n: int) -> tuple[list[int], int]:
-    """w_0 = sum_m S1(n, m)/(m + 1) and w_i = n S1(n-1, i-1)/i, i = 1..n, over lcm(1..n+1).
+    """w_0 = b_n (second kind) and w_i = n S1(n-1, i-1)/i, i = 1..n, over lcm(1..n+1).
 
     In u = (1/L) log(1 + Lt), Carlitz's generating function is
     ((e^(Lu) - 1)/(Lu)) u e^(xu)/(e^u - 1), so beta_n(x|L) is
@@ -226,7 +228,7 @@ def _carlitz_row(n: int) -> tuple[list[int], int]:
     (y + 1)_n - (y)_n = n (y)_(n-1), which gives w_i for i >= 1 from one row.
     """
     top = lcm(*range(1, n + 2))
-    head = sum(s * (top // (m + 1)) for m, s in enumerate(stirling1_row(n)))
+    head = int(bernoulli_second_kind(n) * top)
     prev = stirling1_row(n - 1) if n else ()
     return [head] + [n * prev[i - 1] * (top // i) for i in range(1, n + 1)], top
 
@@ -240,7 +242,9 @@ def _closed_sum(outer, row, n: int, arg: ArgLike, lam: ArgLike) -> BiPoly:
     substituted.  Every term goes straight into one numerator dict, which
     is normalised once.
     """
-    arg = _coerce(arg)
+    arg, lam = _coerce(arg), _coerce(lam)
+    if len(lam._num) > 1:
+        raise ValueError(f"lambda must be a single term (L, a rational, ...), got {lam}")
     if len(arg._num) > 1:
         return _closed_sum(outer, row, n, X, lam).subst_x(arg)
     weights, w_den = outer
@@ -261,16 +265,22 @@ def _closed_sum(outer, row, n: int, arg: ArgLike, lam: ArgLike) -> BiPoly:
     return BiPoly._make(acc, w_den * b_den * lam_den * arg_den)
 
 
+def fdpb_value(n: int, k: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
+    """The value at arg and lam, sum_m S1(n, m) lam^(n-m) B_m^(k)(arg), not a series."""
+    return _closed_sum((stirling1_row(n), 1), _kaneko_row(k, n), n, arg, lam)
+
+
+# the identity checks' memos, at L
 @lru_cache(maxsize=None)
-def fdpb_closed(n: int, k: int, lam: ArgLike = LAM) -> BiPoly:
-    """Fully degenerate poly-Bernoulli number, sum_m S1(n, m) lam^(n-m) B_m^(k)."""
-    return _closed_sum((stirling1_row(n), 1), _kaneko_row(k, n), n, ZERO, lam)
+def fdpb_closed(n: int, k: int) -> BiPoly:
+    """Fully degenerate poly-Bernoulli number, sum_m S1(n, m) L^(n-m) B_m^(k)."""
+    return fdpb_value(n, k)
 
 
 @lru_cache(maxsize=None)
-def fdpb_poly(n: int, k: int, lam: ArgLike = LAM) -> BiPoly:
-    """The degree-n polynomial, sum_m S1(n, m) lam^(n-m) B_m^(k)(x), in n^2/2 terms."""
-    return _closed_sum((stirling1_row(n), 1), _kaneko_row(k, n), n, X, lam)
+def fdpb_poly(n: int, k: int) -> BiPoly:
+    """The degree-n polynomial, sum_m S1(n, m) L^(n-m) B_m^(k)(x), in n^2/2 terms."""
+    return fdpb_value(n, k, X)
 
 
 def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
@@ -291,16 +301,6 @@ def carlitz_value(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
 def daehee_value(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
     """The Daehee-type degenerate value at lam, sum_m S1(n, m) lam^(n-m) B_m(arg)."""
     return _closed_sum((stirling1_row(n), 1), _bernoulli_row(n), n, arg, lam)
-
-
-def fdpb_value(n: int, k: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
-    """Number, polynomial, or value at arg and lam, from Kaneko's numbers, not a series."""
-    arg, lam = _coerce(arg), _coerce(lam)
-    # at L, the memo key (n, k) the identity checks use
-    at = (n, k) if lam == LAM else (n, k, lam)
-    if arg.is_zero():
-        return fdpb_closed(*at)
-    return fdpb_poly(*at) if arg == X else fdpb_poly(*at).subst_x(arg)
 
 
 def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from . import fps
@@ -47,7 +46,6 @@ def lambda_difference(p: BiPoly) -> BiPoly:
     return (shift_operator(p, LAM) - p).div_exact_lambda()
 
 
-@lru_cache(maxsize=None)
 def sheffer_invertible(k: int, order: int) -> fps.Series:
     """g(t) = (1 - e^{-t}) / Li_k(1 - e^{-t}); order drops by one."""
     return fps.series_div(
@@ -55,7 +53,6 @@ def sheffer_invertible(k: int, order: int) -> fps.Series:
     )
 
 
-@lru_cache(maxsize=None)
 def sheffer_delta(order: int) -> fps.Series:
     """f(t) = (e^{Lt} - 1) / L, built coefficient-wise in Q[L]."""
     coeffs: list[BiPoly] = [ZERO]

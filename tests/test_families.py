@@ -74,11 +74,19 @@ class TestClosedSums:
         "arg", (0, X, HALF, -1, X + LAM), ids=("0", "x", "1/2", "-1", "x+L")
     )
     def test_match_series(self, arg):
-        # the CLI's routes for the k-free families against their series
+        # the CLI's routes against their series
         for n in range(21):
             assert carlitz_value(n, arg) == carlitz_beta(n, arg), n
             assert daehee_value(n, arg) == daehee_type_b(n, arg), n
             assert bernoulli_value(n, arg) == bernoulli_poly(n, arg), n
+            for k in (-2, 2):
+                assert fdpb_value(n, k, arg) == fdpb_gf(n, k, arg), (n, k)
+
+    @pytest.mark.parametrize("value", (carlitz_value, daehee_value, fdpb_value))
+    def test_lambda_must_be_one_term(self, value):
+        args = (3, 0) if value is fdpb_value else (3,)
+        with pytest.raises(ValueError, match="single term"):
+            value(*args, 0, lam=LAM + 1)
 
     def test_values_do_not_depend_on_call_order(self):
         # a Kaneko row grown one n at a time is rescaled to each larger

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from fdpb import families as fam
-from fdpb import identities
+from fdpb import identities, umbral
 from fdpb.fps import Series
-from fdpb.ring import ONE, ZERO, parse_poly
+from fdpb.ring import ONE, X, ZERO, parse_poly
 from fdpb.identities import (
     Counterexample,
     EmptyRange,
@@ -197,6 +197,19 @@ class TestPerturbationIsCaught:
             lambda n, l: stirling2(n, l) + ((n, l) == (3, 2)),
         )
         assert not check("THM2_DIFFERENCE", n_max=4, k_range=(1, 1)).passed
+
+    def test_basis_connection_keeps_an_l_term(self, monkeypatch):
+        # S2(3, 2) + 1 leaves L beta_2(x) in the connection sum at n = 3; the
+        # counterexample shows the classical polynomial it should have equalled
+        monkeypatch.setattr(
+            umbral, "stirling2", lambda n, l: stirling2(n, l) + ((n, l) == (3, 2))
+        )
+        report = check("EQ60_BASIS", n_max=4, k_range=(1, 1))
+        assert not report.passed
+        ce = report.counterexample
+        assert (ce.n, ce.k) == (3, 1)
+        assert ce.lhs == fam.classical_poly_bernoulli(3, 1, X)
+        assert not ce.rhs.is_lambda_free()
 
     def test_negative_index_route(self, monkeypatch):
         route = _perturbed(identities._negative_route, (2, 1))

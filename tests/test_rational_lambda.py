@@ -44,6 +44,8 @@ def test_rational_commands_never_substitute(monkeypatch, capsys):
         raise AssertionError("a rational --lambda was substituted after the build")
 
     fam._quotients.clear()
+    fam.fdpb_closed.cache_clear()
+    fam.fdpb_poly.cache_clear()
     monkeypatch.setattr(BiPoly, "eval_at", refuse)
     commands = [
         ("poly", "--family", "carlitz", "--n", "20", "--lambda=1/2"),
@@ -58,5 +60,8 @@ def test_rational_commands_never_substitute(monkeypatch, capsys):
             assert main(list(argv)) == 0
         assert capsys.readouterr().out.count("L") == 0
         assert not fam._quotients, "a CLI command built a generating function"
+        # the fdpb memos hold values at L only, for the identity checks
+        assert fam.fdpb_closed.cache_info().currsize == 0
+        assert fam.fdpb_poly.cache_info().currsize == 0
     finally:
         fam._quotients.clear()
