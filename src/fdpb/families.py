@@ -16,14 +16,14 @@ over integers (:func:`_closed_sum`),
     sum_m w_m lam^(n-m) sum_l C(m, l) b_l x^(m-l),
 
 at the symbol L or a rational lam alike.  The numbers b_l are Kaneko's
-B_l^(k), held per k as integer numerators over one shared denominator, or
-the Bernoulli numbers B_l = (-1)^l B_l^(1).  The change of variable
-u = (1/L) log(1 + Lt) turns each L-dependent generating function into a
-classical one in u, so the outer weights w_m are a row of Stirling
-numbers: S1(n, m) for fdpb and Daehee, and for Carlitz the row of
-:func:`_carlitz_row`; the classical families, at lam = 0, take the unit
-row.  The identity checks re-read fdpb at L, so that alone is memoised:
-:func:`fdpb_closed` and :func:`fdpb_poly`.
+B_l^(k), grown per k along an Akiyama-Tanigawa diagonal (:func:`_kaneko_row`)
+as integer numerators over one shared denominator, or the Bernoulli numbers
+B_l = (-1)^l B_l^(1).  The change of variable u = (1/L) log(1 + Lt) turns
+each L-dependent generating function into a classical one in u, so the
+outer weights w_m are a row of Stirling numbers: S1(n, m) for fdpb and
+Daehee, and for Carlitz the row of :func:`_carlitz_row`; the classical
+families, at lam = 0, take the unit row.  The identity checks re-read fdpb
+at L, so that alone is memoised: :func:`fdpb_closed` and :func:`fdpb_poly`.
 
 The generating functions stay available as the oracles.  Each is an
 argument-free quotient q(t) times an argument series
@@ -40,11 +40,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from operator import mul
 
 from . import fps
 from .ring import (
-    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _term_powers, falling_product, grow,
+    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _term_powers, falling_product,
     sum_of_products,
 )
 from .sequences import bernoulli_second_kind, bernoulli_series, stirling1_row, work_order
@@ -166,45 +165,40 @@ def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     return _read(n, arg, LAM, _fdpb_quotient, k)
 
 
-# row l holds F_l(m) = m! S2(l, m) for m = 0..l
-_SURJECTIONS: list[tuple[int, ...]] = [(1,)]
-
-
-def _surjection_step(prev: tuple[int, ...], l: int) -> tuple[int, ...]:
-    # F_l(m) = m (F_(l-1)(m) + F_(l-1)(m-1))
-    return (0, *(m * (a + b) for m, (a, b) in enumerate(zip(prev, prev[1:] + (0,)), 1)))
-
-
-# k -> numerators of Kaneko's B_0^(k) .. B_N^(k), and their shared denominator
-_KANEKO: dict[int, tuple[tuple[int, ...], int]] = {}
+# k -> numerators of Kaneko's B_0^(k) .. B_N^(k), their shared denominator,
+# and the last anti-diagonal c^j_(N-j), j = 0..N, over the same denominator
+_KANEKO: dict[int, tuple[tuple[int, ...], int, list[int]]] = {}
 
 
 def _kaneko_row(k: int, n: int) -> tuple[tuple[int, ...], int]:
     """Kaneko's poly-Bernoulli numbers B_0^(k) .. B_N^(k), N >= n, over one denominator.
 
-    B_l^(k) = sum_m (-1)^(m+l) m! S2(l, m) (m+1)^(-k).  For k > 0 the row
-    is put over lcm(1..N+1)^k; for k <= 0 every number is an integer.  The
-    longest row built serves every smaller n; a longer one rescales it to
-    the new denominator and appends the numbers it lacks.
+    From c^0_m = (m+1)^(-k) and c^l_m = m c^(l-1)_m - (m+1) c^(l-1)_(m+1),
+    B_l^(k) = (-1)^l c^l_0 (Kaneko, "The Akiyama-Tanigawa algorithm for
+    Bernoulli numbers", J. Integer Seq. 3, 2000).  Each new l starts from
+    c^0_l and walks the last anti-diagonal once, to c^l_0.  For k > 0 the
+    row is put over lcm(1..N+1)^k; for k <= 0 every number is an integer.
+    The longest row built serves every smaller n; a longer one rescales the
+    row and the diagonal to the new denominator and appends the numbers it
+    lacks.
     """
-    nums, den = _KANEKO.get(k, ((), 1))
+    nums, den, diag = _KANEKO.get(k, ((), 1, []))
     if len(nums) > n:
         return nums, den
+    scale = 1
     if k > 0:
-        top = lcm(*range(1, n + 2))
-        power = [(top // (m + 1)) ** k for m in range(n + 1)]
-        scale = top**k // den
-        den = top**k
-    else:
-        power = [(m + 1) ** -k for m in range(n + 1)]
-        scale = 1
-    row = [c * scale for c in nums]
+        top = lcm(*range(1, n + 2)) ** k
+        scale, den = top // den, top
+    row = [b * scale for b in nums]
+    diag = [c * scale for c in diag]
     for l in range(len(row), n + 1):
-        f = grow(_SURJECTIONS, l, _surjection_step)
-        alternating = sum(map(mul, f[::2], power[::2])) - sum(map(mul, f[1::2], power[1::2]))
-        row.append(-alternating if l % 2 else alternating)
-    _KANEKO[k] = tuple(row), den
-    return _KANEKO[k]
+        c = den // (l + 1) ** k if k > 0 else (l + 1) ** -k
+        # c^j_(l-j) = (l-j) c^(j-1)_(l-j) - (l-j+1) c^(j-1)_(l-j+1), j = 1..l
+        diag = [c] + [c := (l - j) * d - (l - j + 1) * c for j, d in enumerate(diag, 1)]
+        row.append(-c if l % 2 else c)
+    nums = tuple(row)
+    _KANEKO[k] = nums, den, diag
+    return nums, den
 
 
 def _bernoulli_row(n: int) -> tuple[list[int], int]:

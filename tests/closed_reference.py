@@ -7,16 +7,34 @@ recomputed for every n, one ``Fraction`` term at a time, so they are slow
 but plainly the paper's formulas; the tests compare the production routes
 against them.  Only the finished numbers ``fdpb_closed(n, k)`` are
 memoised, so that the term-by-term expansion reaches n = 30 in seconds.
+``kaneko_row`` is the alternating sum over surjection numbers that built
+the integer Kaneko rows before they moved to the Akiyama-Tanigawa diagonal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from fdpb.ring import LAM, ONE, X, ZERO, BiPoly, falling_product
 from fdpb.sequences import stirling1, stirling2
+
+
+def kaneko_row(k: int, n: int) -> tuple[tuple[int, ...], int]:
+    """B_0^(k) .. B_n^(k) as integer numerators over lcm(1..n+1)^k (1 for k <= 0).
+
+    B_l^(k) = sum_m (-1)^(m+l) F_l(m) (m+1)^(-k), with the surjection
+    numbers F_l(m) = m! S2(l, m) grown by F_l(m) = m (F_(l-1)(m) + F_(l-1)(m-1)).
+    """
+    den = lcm(*range(1, n + 2)) ** k if k > 0 else 1
+    power = [den // (m + 1) ** k if k > 0 else (m + 1) ** -k for m in range(n + 1)]
+    row, f = [], [1]
+    for l in range(n + 1):
+        if l:
+            f = [0] + [m * (a + b) for m, (a, b) in enumerate(zip(f, f[1:] + [0]), 1)]
+        row.append(sum((-1) ** (m + l) * fm * power[m] for m, fm in enumerate(f)))
+    return tuple(row), den
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ expansion and the O(n^4) derivative that ``fdpb.families`` used before
 the Kaneko weight B_l^(k) was memoised in integers; the polynomial has
 since moved to Kaneko's polynomials B_m^(k)(x), so the falling-factorial
 expansion now checks a different route.  Every value must be the same
-polynomial.
+polynomial, and every Kaneko row the same integers over the same
+denominator as the alternating sum over surjection numbers.
 """
 
 from fractions import Fraction
@@ -45,3 +46,19 @@ def test_kaneko_weight_denominator():
     assert Fraction(nums[3], den) == Fraction(-1, 24)
     nums, den = fam._kaneko_row(-2, 3)
     assert (nums[3], den) == (46, 1)
+
+
+@pytest.mark.parametrize("k", K_RANGE)
+def test_kaneko_row_matches_surjection_sum_cold(k):
+    for n in (0, 1, 5, 57, 120):
+        fam._KANEKO.clear()
+        assert fam._kaneko_row(k, n) == ref.kaneko_row(k, n), n
+
+
+@pytest.mark.parametrize("k", K_RANGE)
+def test_kaneko_row_matches_surjection_sum_grown(k):
+    # a row grown in these uneven steps is rescaled, numbers and diagonal,
+    # wherever lcm(1..N+1) grows: at every step but 10 -> 11
+    fam._KANEKO.clear()
+    for n in (3, 10, 11, 40, 300):
+        assert fam._kaneko_row(k, n) == ref.kaneko_row(k, n), n

@@ -1,12 +1,15 @@
-"""The loop-grown tables: S1, S2, the surjection numbers and (mu|L)_n.
+"""The loop-grown tables: S1, S2, (mu|L)_n and the Kaneko rows.
 
-Each table is a list of rows that ``ring.grow`` extends from its last row.
-A builder that recursed once per row would need a stack frame per row, so
-building every table from its first row to row 300 under a recursion limit
-of the current depth plus 60 shows that none of them recurses.
+Each Stirling or falling-factorial table is a list of rows that
+``ring.grow`` extends from its last row, and a Kaneko row grows along its
+last anti-diagonal.  A builder that recursed once per row would need a
+stack frame per row, so building every table from its first row to row 300
+under a recursion limit of the current depth plus 60 shows that none of
+them recurses.
 """
 
 import sys
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -28,17 +31,20 @@ def _stack_depth() -> int:
 @pytest.fixture
 def cold_tables():
     """Every table cut back to its first row, and restored afterwards."""
-    tables = (sequences._STIRLING1, sequences._STIRLING2, families._SURJECTIONS)
+    tables = (sequences._STIRLING1, sequences._STIRLING2)
     saved = [list(rows) for rows in tables]
-    falling = dict(ring._falling)
+    memos = (ring._falling, families._KANEKO)
+    saved_memos = [dict(memo) for memo in memos]
     for rows in tables:
         del rows[1:]
-    ring._falling.clear()
+    for memo in memos:
+        memo.clear()
     yield
     for rows, rows_before in zip(tables, saved):
         rows[:] = rows_before
-    ring._falling.clear()
-    ring._falling.update(falling)
+    for memo, memo_before in zip(memos, saved_memos):
+        memo.clear()
+        memo.update(memo_before)
 
 
 def test_cold_rows_need_no_stack_depth(cold_tables):
@@ -47,13 +53,13 @@ def test_cold_rows_need_no_stack_depth(cold_tables):
     try:
         s1 = stirling1(N, 1)
         s2 = stirling2(N, 2)
-        surjections = grow(families._SURJECTIONS, N, families._surjection_step)
+        kaneko, den = families._kaneko_row(2, N)
         falling = falling_product(X, N)
     finally:
         sys.setrecursionlimit(limit)
     assert s1 == (-1) ** (N - 1) * factorial(N - 1)
     assert s2 == 2 ** (N - 1) - 1
-    assert surjections[1] == 1 and surjections[N] == factorial(N)
+    assert Fraction(kaneko[1], den) == Fraction(1, 4) and len(kaneko) == N + 1
     assert falling.coeff(0, N) == 1
     assert falling.coeff(N - 1, 1) == (-1) ** (N - 1) * factorial(N - 1)
     assert falling == falling_product(X, N - 1) * (X - LAM * (N - 1))
