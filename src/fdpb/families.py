@@ -29,10 +29,10 @@ The generating functions stay available as the oracles.  Each is an
 argument-free quotient q(t) times an argument series
 A(t) = (1+Lt)^{arg/L}, which is e^{arg t} at L = 0.  The two polylogarithm
 quotients Li_k(z)/z are built from the differential equation of z, not by
-composing a series in z.  The longest q built so far is kept per family
-(and per k) and serves every smaller n.  A value n! [t^n] q A is one fused
-sum of q_j a_(n-j), with the a_j cached per (arg, lambda, order) for all
-families, or n! q_n at arg = 0.
+composing a series in z.  Both q and A are read through :func:`fps.longest`,
+which keeps the longest series built per builder and key (k, lambda, arg)
+and serves every smaller n.  A value n! [t^n] q A is one fused sum of
+q_j a_(n-j), or n! q_n at arg = 0.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .ring import (
     LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _term_powers, falling_product,
     sum_of_products,
 )
-from .sequences import bernoulli_second_kind, bernoulli_series, stirling1_row, work_order
+from .sequences import bernoulli_second_kind, bernoulli_series, stirling1_row
 
 ArgLike = BiPoly | RatLike
 
@@ -60,36 +60,19 @@ class RouteMismatch(Exception):
         self.rhs = rhs
 
 
-_quotients: dict[tuple, fps.Series] = {}
-
-
-def _quotient(build, *key: int, n: int) -> fps.Series:
-    """The longest series build(*key, order) has made, of order n or more.
-
-    A truncated series is exact up to its order, so the longest one serves
-    every coefficient up to its order; when it is short, the series built
-    at work_order(n) replaces it.
-    """
-    series = _quotients.get((build, *key))
-    if series is None or series.order < n:
-        series = _quotients[(build, *key)] = build(*key, work_order(n))
-    return series
-
-
-@lru_cache(maxsize=None)
-def _argument(arg: BiPoly, lam: BiPoly, order: int) -> tuple[BiPoly, ...]:
-    """Coefficients of the argument series (1 + lam t)^(arg/lam), for every family."""
-    return fps.degenerate_pow(arg, order, lam).coeffs
+def _argument(arg: BiPoly, lam: BiPoly, order: int) -> fps.Series:
+    """The argument series (1 + lam t)^(arg/lam), for every family."""
+    return fps.degenerate_pow(arg, order, lam)
 
 
 def _read(n: int, arg: ArgLike, lam: BiPoly, build, *key) -> BiPoly:
     """n! [t^n] of build's quotient q times (1 + lam t)^(arg/lam), as one sum
     of q_j a_(n-j)."""
-    q = _quotient(build, *key, n=n).coeffs
+    q = fps.longest(build, *key, n=n).coeffs
     arg = _coerce(arg)
     if arg.is_zero():
         return q[n] * factorial(n)
-    a = _argument(arg, lam, work_order(n))
+    a = fps.longest(_argument, arg, lam, n=n).coeffs
     return sum_of_products((q[j], a[n - j]) for j in range(n + 1)) * factorial(n)
 
 
@@ -147,22 +130,14 @@ def _polylog_over_z(k: int, lam: BiPoly, order: int) -> fps.Series:
     return fps.Series(coeffs)
 
 
-def _poly_bernoulli_quotient(k: int, order: int) -> fps.Series:
-    return _polylog_over_z(k, ZERO, order)
-
-
 def classical_poly_bernoulli(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     """Classical poly-Bernoulli number/polynomial (no L involved)."""
-    return _read(n, arg, ZERO, _poly_bernoulli_quotient, k)
-
-
-def _fdpb_quotient(k: int, order: int) -> fps.Series:
-    return _polylog_over_z(k, LAM, order)
+    return _read(n, arg, ZERO, _polylog_over_z, k, ZERO)
 
 
 def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     """Fully degenerate poly-Bernoulli value via the generating function."""
-    return _read(n, arg, LAM, _fdpb_quotient, k)
+    return _read(n, arg, LAM, _polylog_over_z, k, LAM)
 
 
 # k -> numerators of Kaneko's B_0^(k) .. B_N^(k), their shared denominator,

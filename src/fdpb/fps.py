@@ -17,6 +17,10 @@ coefficient builders (:func:`degenerate_pow`, :func:`lambda_log`) so that
 no coefficient ever leaves Q[L, x]; dividing literally by the scalar L
 would force a rational-function ring.  :func:`degenerate_pow` takes lam,
 the symbol L by default or a rational; at lam = 0 it is exp(mu t).
+
+The series that the families and identity checks re-read at many n are
+memoised in one place, :func:`longest`, which keeps the longest series
+built per builder and key.
 """
 
 from __future__ import annotations
@@ -220,6 +224,27 @@ def series_derivative(f: Series) -> Series:
     if f.order == 0:
         raise OrderExceeded("an order-0 series does not know its t^1 coefficient")
     return Series([c * (n + 1) for n, c in enumerate(f.coeffs[1:])])
+
+
+_longest: dict[tuple, Series] = {}
+
+
+def work_order(n: int) -> int:
+    # n + 2 guard coefficients, rounded up so a series serves several n
+    return ((n + 2 + 7) // 8) * 8
+
+
+def longest(build, *key, n: int) -> Series:
+    """The longest series build(*key, order) has made, of order n or more.
+
+    A truncated series is exact up to its order, so the longest one serves
+    every coefficient up to its order; when it is short, the series built
+    at work_order(n) replaces it.
+    """
+    series = _longest.get((build, *key))
+    if series is None or series.order < n:
+        series = _longest[(build, *key)] = build(*key, work_order(n))
+    return series
 
 
 def degenerate_pow(mu: BiPoly | RatLike, order: int, lam: BiPoly | RatLike = LAM) -> Series:

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, Optional
 
@@ -149,11 +148,12 @@ def _cells_thm3(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_thm4(n_max: int, ks: range) -> Iterator[Cell]:
-    # each family's closed sum against its generating function; the k-free
-    # ones as polynomials in L and x
+    # each family's closed sum against its generating function: fdpb as
+    # numbers in L, the other four as polynomials in x (and L)
     for k in ks:
         for n in range(n_max + 1):
             yield n, k, fam.fdpb_gf(n, k), fam.fdpb_closed(n, k)
+            yield n, k, fam.classical_poly_bernoulli(n, k, X), fam.poly_bernoulli_value(n, k, X)
     for n in range(n_max + 1):
         yield n, None, fam.carlitz_beta(n, X), fam.carlitz_value(n, X)
         yield n, None, fam.daehee_type_b(n, X), fam.daehee_value(n, X)
@@ -219,11 +219,10 @@ def _cells_thm8(n_max: int, ks: range) -> Iterator[Cell]:
         for n in range(n_max + 1):
             direct = fam.fdpb_poly(n, k).integrate_x_unit()
             yield n, k, direct, fam.integral_unit_interval(n, k)
-            functional = _integration_functional(n + 1)
+            functional = fps.longest(_integration_functional, n=n + 1)
             yield n, k, direct, umbral.pair(functional, fam.fdpb_poly(n, k))
 
 
-@lru_cache(maxsize=None)
 def _integration_functional(order: int) -> fps.Series:
     # (e^t - 1)/t, the functional computing the integral over [0, 1]
     t = fps.Series.t(order + 1)

@@ -282,12 +282,6 @@ class BiPoly:
             num[ld] = num.get(ld, 0) + c * (scale // ((key >> _XBITS) + 1))
         return BiPoly._make(num, self._den * scale)
 
-    def div_exact_lambda(self) -> BiPoly:
-        """Divide by L, requiring every term to carry a factor of L."""
-        if not all(key & _LMASK for key in self._num):
-            raise ValueError(f"not divisible by L: {self}")
-        return BiPoly._make({key - 1: c for key, c in self._num.items()}, self._den)
-
     def __repr__(self) -> str:
         return f"BiPoly({canonical_string(self)!r})"
 

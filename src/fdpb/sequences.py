@@ -9,7 +9,6 @@ the S1 rows, generalized falling factorials and the truncated polylogarithm.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from . import fps
@@ -53,7 +52,6 @@ def stirling2(n: int, l: int) -> int:
     return grow(_STIRLING2, n, _stirling2_step)[l]
 
 
-@lru_cache(maxsize=None)
 def bernoulli_series(order: int) -> fps.Series:
     """The series t / (e^t - 1), the ordinary form of the Bernoulli EGF."""
     t = fps.Series.t(order)
@@ -65,7 +63,7 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2 convention)."""
     if n < 0:
         raise IndexOutOfRange("bernoulli needs n >= 0")
-    return fps.egf_coeff(bernoulli_series(work_order(n)), n).constant()
+    return fps.egf_coeff(fps.longest(bernoulli_series, n=n), n).constant()
 
 
 def bernoulli_second_kind(n: int) -> Fraction:
@@ -74,11 +72,6 @@ def bernoulli_second_kind(n: int) -> Fraction:
         raise IndexOutOfRange("bernoulli_second_kind needs n >= 0")
     top = lcm(*range(1, n + 2))
     return Fraction(sum(s * (top // (m + 1)) for m, s in enumerate(stirling1_row(n))), top)
-
-
-def work_order(n: int) -> int:
-    # n + 2 guard coefficients, rounded up so series caches are shared across n
-    return ((n + 2 + 7) // 8) * 8
 
 
 # the generalized falling factorial mu (mu - L) ... (mu - (n-1) L)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import fps
-from .ring import LAM, ONE, X, ZERO, BiPoly, RatLike, canonical_string, sum_of_products
+from .ring import ONE, ZERO, BiPoly, canonical_string, sum_of_products
 from .families import RouteMismatch, _polylog_over_z, fdpb_poly
 from .sequences import stirling2
 
@@ -34,16 +34,6 @@ def pair(f: fps.Series, p: BiPoly) -> BiPoly:
             f"functional of order {f.order} paired with degree-{deg} polynomial"
         )
     return sum_of_products((c, fps.egf_coeff(f, j)) for j, c in enumerate(p.x_coeffs()))
-
-
-def shift_operator(p: BiPoly, y: BiPoly | RatLike) -> BiPoly:
-    """The operator e^{yt}: p(x) -> p(x + y)."""
-    return p.subst_x(X + (y if isinstance(y, BiPoly) else BiPoly.const(y)))
-
-
-def lambda_difference(p: BiPoly) -> BiPoly:
-    """The delta operator (e^{Lt} - 1)/L: p(x) -> (p(x + L) - p(x)) / L."""
-    return (shift_operator(p, LAM) - p).div_exact_lambda()
 
 
 def sheffer_invertible(k: int, order: int) -> fps.Series:

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 from fdpb import fps
 from fdpb.ring import ONE, BiPoly
-from fdpb.sequences import bernoulli_series, work_order
+from fdpb.fps import work_order
+from fdpb.sequences import bernoulli_series
 
 
 def _as_arg(arg) -> BiPoly:

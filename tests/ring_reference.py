@@ -184,12 +184,6 @@ class BiPoly:
             out = out + BiPoly({(ld, 0): c / (xd + 1)})
         return out
 
-    def div_exact_lambda(self) -> BiPoly:
-        """Divide by L, requiring every term to carry a factor of L."""
-        if any(ld == 0 for ld, _ in self._terms):
-            raise ValueError(f"not divisible by L: {self}")
-        return BiPoly({(ld - 1, xd): c for (ld, xd), c in self._terms.items()})
-
     def __repr__(self) -> str:
         return f"BiPoly({canonical_string(self)!r})"
 

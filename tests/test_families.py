@@ -270,3 +270,48 @@ class TestUnitIntervalIntegral:
     def test_route_mismatch_carries_both_values(self):
         exc = RouteMismatch("boom", ONE, ZERO)
         assert exc.lhs == ONE and exc.rhs == ZERO
+
+
+class TestSeriesMemo:
+    """fps.longest keeps one series per builder and key, the longest built."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        fps._longest.clear()
+        yield
+        fps._longest.clear()
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def build(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, build)
+        return calls
+
+    def test_longest_series_serves_smaller_n(self, monkeypatch):
+        quotients = self.counted(monkeypatch, families, "_polylog_over_z")
+        arguments = self.counted(monkeypatch, families, "_argument")
+        values = [fdpb_gf(n, 2, X) for n in (7, 20)]
+        assert (len(quotients), len(arguments)) == (2, 2)
+        assert fdpb_gf(7, 2, X) == values[0]
+        assert fdpb_gf(24, 2, X) == fdpb_value(24, 2, X)
+        assert (len(quotients), len(arguments)) == (2, 2)
+        # one entry per key, at work_order(20) = 24
+        assert [s.order for s in fps._longest.values()] == [24, 24]
+        assert fdpb_gf(25, 2, X) == fdpb_value(25, 2, X)
+        assert (len(quotients), len(arguments)) == (3, 3)
+        assert [s.order for s in fps._longest.values()] == [32, 32]
+
+    def test_bernoulli_numbers_share_the_polynomials_series(self, monkeypatch):
+        # t/(e^t - 1) is the only series here built through series_exp
+        exps = self.counted(monkeypatch, fps, "series_exp")
+        assert bernoulli_poly(20) == bernoulli_value(20, X)
+        assert len(exps) == 1
+        assert bernoulli(5) == 0 and bernoulli(20) == Fraction(-174611, 330)
+        assert len(exps) == 1
+        assert len(fps._longest) == 2  # t/(e^t - 1) and e^(xt)

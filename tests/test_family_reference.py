@@ -15,7 +15,7 @@ import pytest
 
 import family_reference as ref
 from fdpb import families as fam
-from fdpb import sequences
+from fdpb import fps, sequences
 from fdpb.ring import LAM, X
 
 N_MAX = 30
@@ -38,7 +38,7 @@ def test_reader_matches_full_product(name, k):
 
 
 def _fresh_caches():
-    fam._quotients.clear()
+    fps._longest.clear()
     for module in (fam, sequences):
         for f in vars(module).values():
             if hasattr(f, "cache_clear"):

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from fdpb import families as fam
-from fdpb import identities, umbral
+from fdpb import fps, identities, umbral
 from fdpb.fps import Series
-from fdpb.ring import ONE, X, ZERO, parse_poly
+from fdpb.ring import LAM, ONE, X, ZERO, parse_poly
 from fdpb.identities import (
     Counterexample,
     EmptyRange,
@@ -114,25 +114,25 @@ def _perturbed_row(row_of, l, change):
 
 @pytest.fixture
 def patch_quotient(monkeypatch):
-    """Patch a quotient builder in families, with the quotient memo cleared
-    before the patch and after the test."""
+    """Patch the polylogarithm quotient of families at one lambda, with the
+    series memo cleared before the patch and after the test."""
 
-    def patch(name, coefficient, k):
-        original = getattr(fam, name)
+    def patch(lam, coefficient, k):
+        original = fam._polylog_over_z
 
-        def perturbed(k_, order):
-            series = original(k_, order)
-            if k_ != k or order < coefficient:
+        def perturbed(k_, lam_, order):
+            series = original(k_, lam_, order)
+            if (k_, lam_) != (k, lam) or order < coefficient:
                 return series
             coeffs = list(series.coeffs)
             coeffs[coefficient] += ONE
             return Series(coeffs)
 
-        fam._quotients.clear()
-        monkeypatch.setattr(fam, name, perturbed)
+        fps._longest.clear()
+        monkeypatch.setattr(fam, "_polylog_over_z", perturbed)
 
     yield patch
-    fam._quotients.clear()
+    fps._longest.clear()
 
 
 class TestPerturbationIsCaught:
@@ -173,16 +173,25 @@ class TestPerturbationIsCaught:
         assert (report.counterexample.n, report.counterexample.k) == (1, None)
 
     def test_fdpb_quotient(self, patch_quotient):
-        patch_quotient("_fdpb_quotient", 3, 2)
+        patch_quotient(LAM, 3, 2)
         report = check("THM4_CLOSED", n_max=5, k_range=(1, 3))
         assert not report.passed
         assert (report.counterexample.n, report.counterexample.k) == (3, 2)
 
     def test_poly_bernoulli_quotient(self, patch_quotient):
-        patch_quotient("_poly_bernoulli_quotient", 4, -1)
+        patch_quotient(ZERO, 4, -1)
         report = check("THM1_LIMIT", n_max=6, k_range=(-2, 0))
         assert not report.passed
         assert (report.counterexample.n, report.counterexample.k) == (4, -1)
+
+    def test_poly_bernoulli_value(self, monkeypatch):
+        # THM4 compares the classical closed sum with its series, polynomial in x
+        monkeypatch.setattr(
+            fam, "poly_bernoulli_value", _perturbed(fam.poly_bernoulli_value, (4, -2, X))
+        )
+        report = check("THM4_CLOSED", n_max=6, k_range=(-3, 2))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (4, -2)
 
     def test_addition(self, monkeypatch):
         monkeypatch.setattr(fam, "fdpb_poly", _perturbed(fam.fdpb_poly, (5, 1)))

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from fdpb import families as fam
+from fdpb import fps
 from fdpb.cli import main
 from fdpb.ring import BiPoly, X
 
@@ -43,7 +44,7 @@ def test_rational_commands_never_substitute(monkeypatch, capsys):
     def refuse(self, lam=None, x=None):
         raise AssertionError("a rational --lambda was substituted after the build")
 
-    fam._quotients.clear()
+    fps._longest.clear()
     fam.fdpb_closed.cache_clear()
     fam.fdpb_poly.cache_clear()
     monkeypatch.setattr(BiPoly, "eval_at", refuse)
@@ -59,9 +60,9 @@ def test_rational_commands_never_substitute(monkeypatch, capsys):
         for argv in commands:
             assert main(list(argv)) == 0
         assert capsys.readouterr().out.count("L") == 0
-        assert not fam._quotients, "a CLI command built a generating function"
+        assert not fps._longest, "a CLI command built a generating function"
         # the fdpb memos hold values at L only, for the identity checks
         assert fam.fdpb_closed.cache_info().currsize == 0
         assert fam.fdpb_poly.cache_info().currsize == 0
     finally:
-        fam._quotients.clear()
+        fps._longest.clear()

@@ -133,11 +133,6 @@ class TestStructuralHelpers:
         p = X * X
         assert p.subst_x(X + ONE) == X * X + 2 * X + ONE
 
-    def test_div_exact_lambda(self):
-        assert (LAM * X + LAM * LAM).div_exact_lambda() == X + LAM
-        with pytest.raises(ValueError):
-            (X + LAM).div_exact_lambda()
-
     def test_integrate_x_unit(self):
         # integral of x^2 - Lx over [0, 1]
         p = X * X - LAM * X

@@ -124,15 +124,6 @@ class TestStructural:
 
     @given(polys)
     @settings(max_examples=100, deadline=None)
-    def test_div_exact_lambda(self, a):
-        p, r = a
-        assert_same((p * LAM).div_exact_lambda(), (r * ref.LAM).div_exact_lambda())
-        if not p.is_zero() and any(ld == 0 for ld, _ in p.terms):
-            with pytest.raises(ValueError):
-                p.div_exact_lambda()
-
-    @given(polys)
-    @settings(max_examples=100, deadline=None)
     def test_parse_round_trip(self, a):
         p, r = a
         text = canonical_string(p)

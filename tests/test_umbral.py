@@ -10,12 +10,10 @@ from fdpb.families import classical_poly_bernoulli, fdpb_poly
 from fdpb.umbral import (
     BasisExpansion,
     eq60_connection,
-    lambda_difference,
     pair,
     sheffer_delta,
     sheffer_expand,
     sheffer_invertible,
-    shift_operator,
 )
 
 
@@ -49,21 +47,6 @@ class TestPairing:
     def test_order_must_cover_degree(self):
         with pytest.raises(fps.OrderExceeded):
             pair(fps.Series.constant(ONE, 1), X * X * X)
-
-
-class TestOperators:
-    def test_shift(self):
-        p = X * X
-        assert shift_operator(p, 1) == X * X + 2 * X + ONE
-
-    def test_lambda_difference_lowers_degree(self):
-        for k in (-2, 1, 2):
-            for n in range(1, 11):
-                out = lambda_difference(fdpb_poly(n, k))
-                assert out == n * fdpb_poly(n - 1, k)
-
-    def test_lambda_difference_on_constants(self):
-        assert lambda_difference(ONE) == ZERO
 
 
 class TestShefferOrthogonality:
