@@ -101,9 +101,6 @@ class Series:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     def __add__(self, other: Series) -> Series:
         n = min(self.order, other.order)
         return Series([self._coeffs[i] + other._coeffs[i] for i in range(n + 1)])
@@ -123,9 +120,6 @@ class Series:
         return Series(_product(self._coeffs[:n], other._coeffs[:n]))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: Series) -> Series:
-        return series_div(self, other)
 
     def __repr__(self) -> str:
         return f"Series({[str(c) for c in self._coeffs]})"
@@ -200,7 +194,9 @@ def series_log(f: Series) -> Series:
         raise BadConstantTerm("log needs constant term 1")
     if f.order == 0:
         return Series([ZERO])
-    return series_integrate(series_div(series_derivative(f), f))
+    # f' is known to order N - 1, so f'/f is too and its integral to order N
+    derivative = Series([c * n for n, c in enumerate(f.coeffs) if n])
+    return series_integrate(series_div(derivative, f))
 
 
 def series_exp(f: Series) -> Series:
@@ -217,13 +213,6 @@ def series_exp(f: Series) -> Series:
 def series_integrate(f: Series) -> Series:
     """Formal antiderivative from 0; the order grows by one (it is exact)."""
     return Series([ZERO] + [c / (n + 1) for n, c in enumerate(f.coeffs)])
-
-
-def series_derivative(f: Series) -> Series:
-    """Termwise d/dt; the order drops by one, so order 0 has no derivative."""
-    if f.order == 0:
-        raise OrderExceeded("an order-0 series does not know its t^1 coefficient")
-    return Series([c * (n + 1) for n, c in enumerate(f.coeffs[1:])])
 
 
 _longest: dict[tuple, Series] = {}

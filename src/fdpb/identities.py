@@ -219,15 +219,6 @@ def _cells_thm8(n_max: int, ks: range) -> Iterator[Cell]:
         for n in range(n_max + 1):
             direct = fam.fdpb_poly(n, k).integrate_x_unit()
             yield n, k, direct, fam.integral_unit_interval(n, k)
-            functional = fps.longest(_integration_functional, n=n + 1)
-            yield n, k, direct, umbral.pair(functional, fam.fdpb_poly(n, k))
-
-
-def _integration_functional(order: int) -> fps.Series:
-    # (e^t - 1)/t, the functional computing the integral over [0, 1]
-    t = fps.Series.t(order + 1)
-    num = fps.series_exp(t) - fps.Series.constant(ONE, order + 1)
-    return fps.series_div(num, t)
 
 
 def _cells_eq9(n_max: int, ks: range) -> Iterator[Cell]:
@@ -326,7 +317,9 @@ def check(
             counterexample = Counterexample(n=n, k=k, lhs=lhs, rhs=rhs)
             break
     if not cells:
-        raise EmptyRange(f"{identity.value} has no cells to check at n <= {n_max}")
+        raise EmptyRange(
+            f"{identity.value} has no cells to check at n <= {n_max}, k in [{k_min}, {k_max}]"
+        )
     return Report(
         identity=identity,
         n_max=n_max,

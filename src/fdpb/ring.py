@@ -230,30 +230,14 @@ class BiPoly:
             out = out * self
         return out
 
-    def eval_at(self, lam: RatLike | None = None, x: RatLike | None = None) -> BiPoly:
-        """Substitute rational values for L and/or x.
-
-        Either, both, or neither substitution may be requested; the result
-        is a polynomial in the remaining variables.
-        """
-        den = self._den
-        l_pow = x_pow = None
-        if lam is not None:
-            l_pow, scale = _scaled_powers(_rat(lam), self.lambda_degree())
-            den *= scale
-        if x is not None:
-            x_pow, scale = _scaled_powers(_rat(x), self.x_degree())
-            den *= scale
+    def eval_at(self, lam: RatLike) -> BiPoly:
+        """Substitute a rational value for L; the result is a polynomial in x."""
+        l_pow, scale = _scaled_powers(_rat(lam), self.lambda_degree())
         num: dict[int, int] = {}
         for key, c in self._num.items():
-            if l_pow is not None:
-                c *= l_pow[key & _LMASK]
-                key &= ~_LMASK
-            if x_pow is not None:
-                c *= x_pow[key >> _XBITS]
-                key &= _LMASK
-            num[key] = num.get(key, 0) + c
-        return BiPoly._make(num, den)
+            x_key = key & ~_LMASK
+            num[x_key] = num.get(x_key, 0) + c * l_pow[key & _LMASK]
+        return BiPoly._make(num, self._den * scale)
 
     def subst_x(self, replacement: BiPoly | RatLike) -> BiPoly:
         """Substitute a polynomial for x (e.g. the shift x -> x + L)."""

@@ -220,7 +220,7 @@ class TestFdpbPolynomials:
     def test_value_dispatch(self):
         assert fdpb_value(2, 1) == fdpb_closed(2, 1)
         assert fdpb_value(2, 1, X) == fdpb_poly(2, 1)
-        assert fdpb_value(2, 1, 1) == fdpb_poly(2, 1).eval_at(x=1)
+        assert fdpb_value(2, 1, 1) == fdpb_poly(2, 1).subst_x(1)
 
 
 class TestIteratedIntegral:

@@ -16,7 +16,10 @@ or zero lambda at the end were captured while every family was built in
 Q[L, x] and only then evaluated at lambda, before lambda was threaded
 through the builders.  The nine carlitz, daehee and bernoulli commands
 past n = 60 were captured while those families were read from their
-generating functions, before they were built from closed sums.
+generating functions, before they were built from closed sums.  The
+verify command at n-max 12 over k in [-2, 4], the benchmark's second
+window, was captured while THM8_INTEGRAL still paired (e^t - 1)/t with
+each polynomial, before that cell was dropped.
 Changes to the arithmetic core must leave every byte as it is.
 """
 
@@ -108,6 +111,8 @@ def _commands() -> list[tuple[str, ...]]:
         ("poly", "--family", "bernoulli", "--n", "60"),
     ]
     out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
+    out.append(("verify", "--suite", "all", "--n-max", "12", "--k-min", "-2", "--k-max", "4",
+                "--format", "json"))
     return out
 
 

@@ -60,7 +60,7 @@ class TestSingleChecks:
         assert (report.counterexample.n, report.counterexample.k) == (12, 2)
 
     def test_negative_index_needs_a_nonnegative_k(self):
-        with pytest.raises(EmptyRange):
+        with pytest.raises(EmptyRange, match=r"n <= 3, k in \[-3, -1\]"):
             check("THM6_NEGATIVE", n_max=3, k_range=(-3, -1))
 
 

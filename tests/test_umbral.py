@@ -26,7 +26,7 @@ class TestPairing:
     def test_evaluation_functional(self):
         p = X * X * X - 2 * X + ONE
         f = fps.degenerate_pow(2, 6, 0)
-        assert pair(f, p) == p.eval_at(x=2)
+        assert pair(f, p) == p.subst_x(2)
 
     def test_integration_functional_on_x(self):
         order = 4
