@@ -127,7 +127,7 @@ def _format_report(report: identities.Report) -> str:
         f"(n <= {report.n_max}, k in [{report.k_min}, {report.k_max}])"
     )
     if report.counterexample is None:
-        return head
+        return head if report.error is None else f"{head}\n  error: {report.error}"
     ce = report.counterexample.to_dict()
     return (
         f"{head}\n  counterexample at n={ce['n']}, k={ce['k']}:"

@@ -27,24 +27,23 @@ at L, so that alone is memoised: :func:`fdpb_closed` and :func:`fdpb_poly`.
 
 The generating functions stay available as the oracles.  Each is an
 argument-free quotient q(t) times an argument series
-A(t) = (1+Lt)^{arg/L}, which is e^{arg t} at L = 0.  The two polylogarithm
-quotients Li_k(z)/z are built from the differential equation of z, not by
-composing a series in z.  Both q and A are read through :func:`fps.longest`,
-which keeps the longest series built per builder and key (k, lambda, arg)
-and serves every smaller n.  A value n! [t^n] q A is one fused sum of
-q_j a_(n-j), or n! q_n at arg = 0.
+A(t) = (1+Lt)^{arg/L}, which is e^{arg t} at L = 0.  The polylogarithm
+quotients Li_k(z)/z at every k and lambda read one integer table of
+n!/m! [t^n] z^m, grown from z's differential equation (:data:`_Z_TABLE`).
+Both q and A are read through :func:`fps.longest`, which keeps the longest
+series built per builder and key (k, lambda, arg) and serves every smaller n.
+A value n! [t^n] q A is one fused sum of q_j a_(n-j), or n! q_n at arg = 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
 from . import fps
 from .ring import (
     LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _term_powers, falling_product,
-    sum_of_products,
+    grow, sum_of_products,
 )
 from .sequences import bernoulli_second_kind, bernoulli_series, stirling1_row
 
@@ -103,30 +102,42 @@ def daehee_type_b(n: int, arg: ArgLike = 0) -> BiPoly:
     return _read(n, arg, LAM, _daehee_quotient)
 
 
+# column n of the table u_m(n) = n!/m! [t^n] z^m, z = 1 - (1 + lam t)^(-1/lam):
+# u_0(n) .. u_n(n), each an integer polynomial in lam, as its coefficient list.
+# u_m(n) is (-1)^(n-m) times Carlitz's degenerate Stirling number of the second
+# kind at -lam (Utilitas Math. 15, 1979), so no k or lam changes the table
+_Z_TABLE: list[list[list[int]]] = [[[1]]]
+
+
+def _z_column(prev: list[list[int]], n: int) -> list[list[int]]:
+    # (1 + lam t) z' = 1 - z gives u_0(n) = 0, u_n(n) = 1 and
+    # u_m(n) = u_(m-1)(n-1) - m u_m(n-1) - (n-1) lam u_m(n-1)
+    return [[0] * (n + 1)] + [
+        [a - m * b - (n - 1) * c for a, b, c in zip(prev[m - 1], prev[m] + [0], [0] + prev[m])]
+        for m in range(1, n)
+    ] + [[1]]
+
+
 def _polylog_over_z(k: int, lam: BiPoly, order: int) -> fps.Series:
     """Li_k(z)/z = sum_m z^m / (m+1)^k at z = 1 - (1 + lam t)^(-1/lam), uncomposed.
 
-    z solves (1 + lam t) z' = 1 - z (at lam = 0, z = 1 - e^(-t)), so
-    u_m(n) = n!/m! [t^n] z^m obeys u_m(n) = u_(m-1)(n-1) - (m + lam (n-1)) u_m(n-1),
-    with u_n(n) = 1 and u_0(n) = 0 for n >= 1, and the quotient's
-    coefficient n is (1/n!) sum_m m! (m+1)^(-k) u_m(n).  One column
-    u_.(n) is kept as n runs upward.
+    Coefficient n is (1/n!) sum_m m! (m+1)^(-k) u_m(n), read off the one
+    table _Z_TABLE that every k and lam share: with the integer weights
+    W_m = m! (m+1)^(-k) D, D = lcm(1..order+1)^k for k > 0 and 1 else, it
+    is sum_j s_j lam^j / (D n!), where s_j = sum_m W_m [lam^j] u_m(n).
     """
-    weights = [
-        BiPoly.const(factorial(m) * Fraction(m + 1) ** -k) for m in range(order + 1)
-    ]
-    minus = [BiPoly.const(-m) for m in range(order + 1)]
-    column = [ONE]
-    coeffs = [ONE]
-    for n in range(1, order + 1):
-        step = lam * (1 - n)
-        column = [ZERO] + [
-            sum_of_products(
-                ((column[m - 1], ONE), (column[m], minus[m]), (column[m], step))
-            )
-            for m in range(1, n)
-        ] + [ONE]
-        coeffs.append(sum_of_products(zip(weights, column)) / factorial(n))
+    den = lcm(*range(1, order + 2)) ** k if k > 0 else 1
+    weights = [factorial(m) * den // (m + 1) ** k if k > 0 else factorial(m) * (m + 1) ** -k
+               for m in range(order + 1)]
+    grow(_Z_TABLE, order, _z_column)
+    powers, coeffs = [ONE], []  # powers holds lam^0 .. lam^n at column n
+    for n, column in enumerate(_Z_TABLE[: order + 1]):
+        sums = (
+            (BiPoly._make({0: sum(w * u[j] for w, u in zip(weights, column[: n + 1 - j]))}, 1), p)
+            for j, p in enumerate(powers) if p
+        )
+        coeffs.append(sum_of_products(sums) / (den * factorial(n)))
+        powers.append(powers[-1] * lam)
     return fps.Series(coeffs)
 
 

@@ -64,20 +64,20 @@ class Report:
     k_max: int
     status: str
     counterexample: Optional[Counterexample] = None
+    error: Optional[str] = None
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "identity": self.identity.value,
             "params": {"n_max": self.n_max, "k_min": self.k_min, "k_max": self.k_max},
             "status": self.status,
-            "counterexample": (
-                self.counterexample.to_dict() if self.counterexample else None
-            ),
+            "counterexample": self.counterexample.to_dict() if self.counterexample else None,
         }
+        return out if self.error is None else {**out, "error": self.error}
 
 
 Cell = tuple[int, Optional[int], BiPoly, BiPoly]
@@ -303,31 +303,30 @@ def check(
     """Verify one identity over the requested (n, k) box.
 
     Raises EmptyRange when the box is empty or holds no cell of this
-    identity, so that no report can pass having checked nothing.
+    identity, so that no report can pass having checked nothing.  A series
+    operation that raises inside the cells fails the report, with the error.
     """
     identity = _coerce_identity(identity)
     k_min, k_max = k_range
     if n_max < 0 or k_min > k_max:
         raise EmptyRange(f"empty box: n <= {n_max}, k in [{k_min}, {k_max}]")
-    counterexample = None
+    counterexample = error = n = k = None
     cells = 0
-    for n, k, lhs, rhs in _CHECKERS[identity.value](n_max, range(k_min, k_max + 1)):
-        cells += 1
-        if lhs != rhs:
-            counterexample = Counterexample(n=n, k=k, lhs=lhs, rhs=rhs)
-            break
-    if not cells:
+    try:
+        for n, k, lhs, rhs in _CHECKERS[identity.value](n_max, range(k_min, k_max + 1)):
+            cells += 1
+            if lhs != rhs:
+                counterexample = Counterexample(n=n, k=k, lhs=lhs, rhs=rhs)
+                break
+    except fps.SeriesError as exc:
+        at = f"after the cell n={n}, k={k}" if cells else "before the first cell"
+        error = f"{type(exc).__name__}: {exc} ({at})"
+    if not cells and error is None:
         raise EmptyRange(
             f"{identity.value} has no cells to check at n <= {n_max}, k in [{k_min}, {k_max}]"
         )
-    return Report(
-        identity=identity,
-        n_max=n_max,
-        k_min=k_min,
-        k_max=k_max,
-        status="pass" if counterexample is None else "fail",
-        counterexample=counterexample,
-    )
+    status = "pass" if counterexample is None and error is None else "fail"
+    return Report(identity, n_max, k_min, k_max, status, counterexample, error)
 
 
 def check_all(

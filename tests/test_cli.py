@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fdpb import fps
 from fdpb.cli import COMMANDS, OPTIONS, REQUIRED, main
 from fdpb.ring import X, parse_poly
 
@@ -238,6 +239,51 @@ class TestVerify:
         reports = json.loads(out)
         assert reports[0]["identity"] == "EQ9_DELTA"
         assert reports[0]["status"] == "pass"
+        assert "error" not in reports[0]
+
+    @pytest.fixture
+    def broken_division(self, monkeypatch):
+        def series_div(num, den):
+            raise fps.NonUnitLeadingCoefficient("division by the zero series")
+
+        monkeypatch.setattr(fps, "series_div", series_div)
+        monkeypatch.setattr(fps, "_longest", {})  # no series built before the break
+
+    def test_series_error_fails_its_identity_and_the_rest_still_report(
+        self, capsys, broken_division
+    ):
+        code, out = run(capsys, "verify", "--suite", "all", "--n-max", "4")
+        assert code == 1
+        lines = out.splitlines()
+        heads = [line for line in lines if not line.startswith(" ")]
+        assert len(heads) == 15
+        failed = [head for head in heads if ": FAIL " in head]
+        errors = [line for line in lines if line.startswith("  error: ")]
+        assert failed and len(errors) == len(failed)
+        for line in errors:
+            assert line.startswith(
+                "  error: NonUnitLeadingCoefficient: division by the zero series ("
+            )
+        # these read no series, so a broken division leaves them passing
+        for name in (
+            "THM1_ADDITION", "THM2_DIFFERENCE", "THM5_RECURRENCE", "THM6_NEGATIVE",
+            "THM7_DIFFERENCE_QUOTIENT", "THM8_INTEGRAL", "EQ38_FALLING_INTEGRAL",
+            "DERIV_FORMULA", "EQ60_BASIS",
+        ):
+            assert f"{name}: PASS (n <= 4, k in [-3, 3])" in heads
+        # THM3 builds its series before its first cell
+        at = lines.index("THM3_K2: FAIL (n <= 4, k in [-3, 3])") + 1
+        assert lines[at].endswith("(before the first cell)")
+
+    def test_series_error_in_json_names_the_last_cell(self, capsys, broken_division):
+        code, out = run(
+            capsys, "verify", "--suite", "THM4_CLOSED", "--n-max", "4", "--format", "json",
+        )
+        assert code == 1
+        (report,) = json.loads(out)
+        assert report["status"] == "fail" and report["counterexample"] is None
+        assert report["error"].startswith("NonUnitLeadingCoefficient: ")
+        assert report["error"].endswith("(after the cell n=4, k=3)")
 
 
 class TestDeterminism:

@@ -307,6 +307,21 @@ class TestSeriesMemo:
         assert (len(quotients), len(arguments)) == (3, 3)
         assert [s.order for s in fps._longest.values()] == [32, 32]
 
+    def test_every_quotient_reads_one_table_grown_in_place(self, monkeypatch):
+        monkeypatch.setattr(families, "_Z_TABLE", [[[1]]])
+        columns = self.counted(monkeypatch, families, "_z_column")
+        for k in K_RANGE:
+            for n in (7, 20):  # orders 16, then 24
+                fdpb_gf(n, k, X)
+                classical_poly_bernoulli(n, k, X)
+        # 14 keys, each built at order 16 and at 24, made each column once
+        assert [n for _, n in columns] == list(range(1, 25))
+        assert fdpb_gf(25, 2, X) == fdpb_value(25, 2, X)
+        assert [n for _, n in columns] == list(range(1, 33))
+        assert len(families._Z_TABLE) == 33
+        assert classical_poly_bernoulli(12, -3, X) == poly_bernoulli_value(12, -3, X)
+        assert len(columns) == 32
+
     def test_bernoulli_numbers_share_the_polynomials_series(self, monkeypatch):
         # t/(e^t - 1) is the only series here built through series_exp
         exps = self.counted(monkeypatch, fps, "series_exp")

@@ -9,10 +9,13 @@ a perfect square (0, 3, 8, 15, 24) fill their last block exactly.  The
 polylogarithm quotient Li_k(z)/z of ``fdpb.families``, built from the
 differential equation of z = 1 - (1 + lam t)^(-1/lam), is compared with
 the power sum in z for a random lam, and for the families' own lam = L
-and lam = 0 at every order 0..32.
+and lam = 0 at every order 0..32.  The table of n!/m! [t^n] z^m that every
+quotient reads is compared, column by column, with the powers of z formed
+by series products, and at lam = 0 with (-1)^(n-m) S2(n, m).
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 import series_reference as ref
 from fdpb import families, fps, sequences
 from fdpb.fps import Series
-from fdpb.ring import LAM, ONE, ZERO, BiPoly
+from fdpb.ring import LAM, ONE, ZERO, BiPoly, grow, sum_of_products
 
 ORDERS = range(25)
 PERFECT_SQUARE_ORDERS = (0, 3, 8, 15, 24)
@@ -98,3 +101,37 @@ class TestPolylogs:
                 assert families._polylog_over_z(k, lam, n) == expected.truncate(n), n
             z = z.truncate(24)  # the composition's orders are covered to 24
             assert sequences.polylog_series(k, z) == ref.polylog_series(k, z)
+
+
+class TestZTable:
+    """Column n of families._Z_TABLE holds u_m(n) = n!/m! [t^n] z^m, m = 0..n."""
+
+    @staticmethod
+    def check_columns(lam, order):
+        grow(families._Z_TABLE, order, families._z_column)
+        z = ref.degenerate_argument(lam, order)
+        power = Series.constant(ONE, order)  # z^m
+        for m in range(order + 1):
+            assert all(power.coeff(n).is_zero() for n in range(m))
+            for n in range(m, order + 1):
+                u = families._Z_TABLE[n][m]
+                assert len(u) == n - m + 1  # a polynomial of degree n - m in lam
+                value = sum_of_products((BiPoly.const(c), lam**j) for j, c in enumerate(u))
+                assert value == power.coeff(n) * Fraction(factorial(n), factorial(m)), (n, m)
+            power = power * z
+
+    @pytest.mark.parametrize("lam", [LAM, ZERO, BiPoly.const(Fraction(1, 2))], ids=str)
+    def test_columns_are_the_powers_of_z(self, lam):
+        self.check_columns(lam, 24)
+
+    @given(lam=bipolys, order=orders)
+    @settings(max_examples=10, deadline=None)
+    def test_columns_at_a_drawn_lambda(self, lam, order):
+        self.check_columns(lam, order)
+
+    def test_lambda_zero_gives_signed_stirling2(self):
+        grow(families._Z_TABLE, 32, families._z_column)
+        for n, column in enumerate(families._Z_TABLE[:33]):
+            assert [u[0] for u in column] == [
+                (-1) ** (n - m) * sequences.stirling2(n, m) for m in range(n + 1)
+            ]
