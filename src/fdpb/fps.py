@@ -114,8 +114,7 @@ class Series:
 
     def __mul__(self, other: Series | BiPoly | RatLike) -> Series:
         if not isinstance(other, Series):
-            c = _coerce(other)
-            return Series([a * c for a in self._coeffs])
+            return Series([a * other for a in self._coeffs])
         n = min(self.order, other.order) + 1
         return Series(_product(self._coeffs[:n], other._coeffs[:n]))
 
@@ -142,13 +141,13 @@ def series_div(f: Series, g: Series) -> Series:
             f"dividend valuation {f.valuation()} < divisor valuation {v}"
         )
     n = min(f.order, g.order) - v
-    lead_inv = Fraction(1) / lead.constant()
+    unit = lead.constant()
     fs = f.coeffs[v:]
     gs = g.coeffs[v : v + n + 1]
     q: list[BiPoly] = []
     for m in range(n + 1):
         acc = fs[m] - sum_of_products((q[i], gs[m - i]) for i in range(m))
-        q.append(acc * lead_inv)
+        q.append(acc / unit)
     return Series(q)
 
 

@@ -65,6 +65,7 @@ class Report:
     status: str
     counterexample: Optional[Counterexample] = None
     error: Optional[str] = None
+    cells: int = 0
 
     @property
     def passed(self) -> bool:
@@ -86,31 +87,26 @@ Cell = tuple[int, Optional[int], BiPoly, BiPoly]
 def _cells_thm1_addition(n_max: int, ks: range) -> Iterator[Cell]:
     # beta_n(x + y) = sum_m C(n, m) beta_m(x) (y|L)_{n-m}, compared power by
     # power of y through (y|L)_j = sum_e S1(j, e) L^{j-e} y^e; the power
-    # e = 0 reads beta_n = beta_n and is left out
+    # e = 0 reads beta_n = beta_n and is left out; the weights have no k
+    weights = {
+        (n, e): [
+            BiPoly({(n - m - e, 0): comb(n, m) * stirling1(n - m, e)}) for m in range(n - e + 1)
+        ]
+        for n in range(1, n_max + 1) for e in range(1, n + 1)
+    }
     for k in ks:
+        betas = [fam.fdpb_poly(m, k) for m in range(n_max + 1)]
         for n in range(1, n_max + 1):
-            taylor = fam.fdpb_poly(n, k)
+            taylor = betas[n]
             for e in range(1, n + 1):
                 taylor = taylor.derivative_x() / e
-                rhs = sum_of_products(
-                    (
-                        fam.fdpb_poly(m, k),
-                        BiPoly({(n - m - e, 0): comb(n, m) * stirling1(n - m, e)}),
-                    )
-                    for m in range(n - e + 1)
-                )
-                yield n, k, taylor, rhs
+                yield n, k, taylor, sum_of_products(zip(betas, weights[n, e]))
 
 
 def _cells_thm1_limit(n_max: int, ks: range) -> Iterator[Cell]:
     for k in ks:
         for n in range(n_max + 1):
-            yield (
-                n,
-                k,
-                fam.fdpb_poly(n, k).eval_at(lam=0),
-                fam.classical_poly_bernoulli(n, k, X),
-            )
+            yield n, k, fam.fdpb_poly(n, k).eval_at(lam=0), fam.classical_poly_bernoulli(n, k, X)
     for n in range(n_max + 1):
         target = fam.bernoulli_poly(n)
         yield n, None, fam.carlitz_beta(n, X).eval_at(lam=0), target
@@ -161,16 +157,16 @@ def _cells_thm4(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_thm5(n_max: int, ks: range) -> Iterator[Cell]:
+    # the weight of beta_m in row n has no k
+    weights = {
+        (n, m): -falling_product(ONE, n - m + 1) * comb(n, m - 1)
+        - LAM * falling_product(ONE, n - m) * (comb(n, m) * m)
+        for n in range(1, n_max + 1) for m in range(1, n)
+    }
     for k in ks:
         for n in range(1, n_max + 1):
-            pairs = [(ONE, fam.fdpb_closed(n, k - 1))]
-            for m in range(1, n):
-                beta = -fam.fdpb_closed(m, k)
-                pairs += [
-                    (beta * comb(n, m - 1), falling_product(ONE, n - m + 1)),
-                    (beta * LAM * (comb(n, m) * m), falling_product(ONE, n - m)),
-                ]
-            yield n, k, fam.fdpb_closed(n, k), sum_of_products(pairs) / (n + 1)
+            rest = sum_of_products((fam.fdpb_closed(m, k), weights[n, m]) for m in range(1, n))
+            yield n, k, fam.fdpb_closed(n, k), (fam.fdpb_closed(n, k - 1) + rest) / (n + 1)
 
 
 def _negative_route(n: int, k: int) -> BiPoly:
@@ -326,7 +322,7 @@ def check(
             f"{identity.value} has no cells to check at n <= {n_max}, k in [{k_min}, {k_max}]"
         )
     status = "pass" if counterexample is None and error is None else "fail"
-    return Report(identity, n_max, k_min, k_max, status, counterexample, error)
+    return Report(identity, n_max, k_min, k_max, status, counterexample, error, cells)
 
 
 def check_all(

@@ -3,7 +3,7 @@
 Every coefficient in the library lives in the bivariate polynomial ring
 over the rationals, with two formal variables: the degeneracy parameter
 (printed as ``L``) and the polynomial argument ``x``.  Scalars are
-``fractions.Fraction``.
+ints or ``Fraction``s, read through ``numerator`` and ``denominator``.
 
 A :class:`BiPoly` stores integer numerators over one shared denominator:
 a sparse map from term keys to nonzero ``int`` numerators, and one
@@ -43,12 +43,6 @@ _LMASK = (1 << _XBITS) - 1
 
 def _key(l_deg: int, x_deg: int) -> int:
     return x_deg << _XBITS | l_deg
-
-
-def _rat(value: RatLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
 
 
 def _canonical(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
@@ -94,12 +88,15 @@ class BiPoly:
     __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: dict[Key, RatLike] | None = None):
-        rats = {_key(*key): _rat(c) for key, c in terms.items()} if terms else {}
-        if rats and min(rats) < 0:
+        coeffs = {_key(*key): c for key, c in terms.items()} if terms else {}
+        if coeffs and min(coeffs) < 0:
             # a key is negative exactly when one of its exponents is
             raise ValueError(f"negative exponent in {sorted(terms)}")
-        den = lcm(*(c.denominator for c in rats.values()))
-        num = {key: c.numerator * (den // c.denominator) for key, c in rats.items()}
+        try:
+            den = lcm(*(c.denominator for c in coeffs.values()))
+        except AttributeError:
+            raise TypeError(f"a coefficient of {terms} is not an int or a Fraction") from None
+        num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self._num, self._den = _canonical(num, den)
 
     @classmethod
@@ -208,11 +205,8 @@ class BiPoly:
 
     def __mul__(self, other: BiPoly | RatLike) -> BiPoly:
         if isinstance(other, (int, Fraction)):
-            c = _rat(other)
-            return BiPoly._make(
-                {key: v * c.numerator for key, v in self._num.items()},
-                self._den * c.denominator,
-            )
+            p, q = other.numerator, other.denominator
+            return BiPoly._make({key: v * p for key, v in self._num.items()}, self._den * q)
         if not isinstance(other, BiPoly):
             return NotImplemented
         return sum_of_products(((self, other),))
@@ -220,7 +214,15 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: RatLike) -> BiPoly:
-        return self * (Fraction(1) / _rat(scalar))
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        p, q = scalar.numerator, scalar.denominator
+        if not p:
+            raise ZeroDivisionError("division by zero")
+        if p < 0:
+            p, q = -p, -q
+        num = self._num if q == 1 else {key: c * q for key, c in self._num.items()}
+        return BiPoly._make(num, self._den * p)
 
     def __pow__(self, n: int) -> BiPoly:
         if n < 0:
@@ -232,7 +234,7 @@ class BiPoly:
 
     def eval_at(self, lam: RatLike) -> BiPoly:
         """Substitute a rational value for L; the result is a polynomial in x."""
-        l_pow, scale = _scaled_powers(_rat(lam), self.lambda_degree())
+        l_pow, scale = _scaled_powers(lam.numerator, lam.denominator, self.lambda_degree())
         num: dict[int, int] = {}
         for key, c in self._num.items():
             x_key = key & ~_LMASK
@@ -279,9 +281,8 @@ def _coerce(value: BiPoly | RatLike) -> BiPoly:
     return BiPoly.const(value)
 
 
-def _scaled_powers(value: Fraction, top: int) -> tuple[list[int], int]:
-    """p**d * q**(top - d) for d = 0..top, and q**top, where value = p/q."""
-    p, q = value.numerator, value.denominator
+def _scaled_powers(p: int, q: int, top: int) -> tuple[list[int], int]:
+    """p**d * q**(top - d) for d = 0..top, and q**top, for the value p/q."""
     p_pow = [1]
     q_pow = [1]
     for _ in range(top):
@@ -298,7 +299,7 @@ def _term_powers(term: BiPoly | RatLike, top: int) -> tuple[list[int], list[int]
     """
     term = _coerce(term)
     ((key, num),) = term._num.items() or [(0, 0)]
-    nums, den = _scaled_powers(Fraction(num, term._den), top)
+    nums, den = _scaled_powers(num, term._den, top)
     return [key * j for j in range(top + 1)], nums, den
 
 

@@ -16,7 +16,7 @@ from fdpb.identities import (
     check_all,
     reports_to_json,
 )
-from fdpb.sequences import stirling2
+from fdpb.sequences import stirling1, stirling2
 
 SMOKE = dict(n_max=2, k_range=(-1, 2))
 
@@ -73,6 +73,19 @@ class TestCheckAll:
     def test_report_order_is_declaration_order(self):
         reports = check_all(n_max=1, k_range=(1, 1))
         assert [r.identity for r in reports] == list(IdentityId)
+
+    def test_cell_counts(self):
+        # n <= 12, k in [-3, 3]: THM1_ADDITION has one cell per k, n >= 1 and
+        # power e = 1..n of y (7 * 78); THM3_K2 checks k = 2 alone, the EQ
+        # identities no k, and ITERATED_INTEGRAL k = 2, 3, 4 whatever the range
+        counts = {r.identity.value: r.cells for r in check_all(n_max=12, k_range=(-3, 3))}
+        assert counts == {
+            "THM1_ADDITION": 546, "THM1_LIMIT": 117, "THM2_DIFFERENCE": 84,
+            "THM3_K2": 13, "THM4_CLOSED": 221, "THM5_RECURRENCE": 84,
+            "THM6_NEGATIVE": 104, "THM7_DIFFERENCE_QUOTIENT": 84, "THM8_INTEGRAL": 91,
+            "EQ9_DELTA": 12, "EQ14_SHIFT": 13, "EQ38_FALLING_INTEGRAL": 13,
+            "DERIV_FORMULA": 91, "EQ60_BASIS": 91, "ITERATED_INTEGRAL": 39,
+        }
 
 
 def _perturbed(fn, at):
@@ -198,6 +211,20 @@ class TestPerturbationIsCaught:
         report = check("THM1_ADDITION", n_max=6, k_range=(1, 1))
         assert not report.passed
         assert report.counterexample.n == 6
+
+    def test_addition_across_k(self, monkeypatch):
+        # beta_1^(0) + 1 enters the right side of the k = 0 cells from n = 2 on
+        monkeypatch.setattr(fam, "fdpb_poly", _perturbed(fam.fdpb_poly, (1, 0)))
+        ce = check("THM1_ADDITION", n_max=6, k_range=(-1, 2)).counterexample
+        assert (ce.n, ce.k) == (2, 0)
+        # S1(4, 2) + 1 enters the weights of every k from the cell n = 4, e = 2
+        # on, so the first counterexample moves to k = -1 while k is the outer loop
+        monkeypatch.setattr(
+            identities, "stirling1", lambda n, e: stirling1(n, e) + ((n, e) == (4, 2))
+        )
+        ce = check("THM1_ADDITION", n_max=6, k_range=(-1, 2)).counterexample
+        assert (ce.n, ce.k) == (4, -1)
+        assert ce.lhs == fam.fdpb_poly(4, -1).derivative_x().derivative_x() / 2
 
     def test_difference_right_side(self, monkeypatch):
         # in THM2, identities.stirling2 feeds only the right side's weights

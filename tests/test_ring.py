@@ -129,6 +129,23 @@ class TestCanonicalString:
             BiPoly(terms)
 
 
+class TestScalars:
+    @pytest.mark.parametrize("value", [0.5, "1/2"])
+    def test_constructor_rejects_non_rational_coefficients(self, value):
+        with pytest.raises(TypeError, match=f"{value!r}"):
+            BiPoly({(1, 0): 1, (0, 0): value})
+
+    @pytest.mark.parametrize("value", [0.5, "2"])
+    def test_division_by_non_rational_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            X / value
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(ZeroDivisionError):
+            X / zero
+
+
 class TestStructuralHelpers:
     def test_subst_x_shift(self):
         p = X * X

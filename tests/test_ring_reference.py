@@ -73,6 +73,8 @@ class TestArithmetic:
         assert_same(p * c, r * c)
         assert_same(c * p, c * r)
         assert_same(p / d, r / d)
+        # a quotient by d = 1 shares p's numerators, and p must not change
+        assert_same(p, r)
         assert_same(p + c, r + c)
         assert_same(c - p, c - r)
 
