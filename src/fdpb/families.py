@@ -313,6 +313,8 @@ def fdpb_x_derivative(n: int, k: int) -> BiPoly:
     the suffix product.  With w_d = C(n, d) beta_{n-d}, the suffix side
     T_j = sum_{d>j} w_d S_{d,j} obeys T_j = w_{j+1} + (x - L(j+1)) T_{j+1},
     so the derivative is sum_j P_j T_j, assembled with one sum_of_products.
+    verify no longer reads it (DERIV_FORMULA uses the Sheffer derivative
+    formula); it stays as a tested reference and a benchmark tracer label.
     """
     pairs = []
     suffix = ZERO

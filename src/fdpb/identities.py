@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Iterator, Optional
 
 from . import families as fam
@@ -114,22 +114,25 @@ def _cells_thm1_limit(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_thm2(n_max: int, ks: range) -> Iterator[Cell]:
+    # per-l weights sum_{m<l} (-1)^(l-m-1) m! S2(l, m+1) (m+1)^(1-k), summed
+    # from stirling2 so that they share nothing with fdpb_closed; the S2
+    # terms have no k, and per k the weights are integers over den
+    terms = [
+        [(-1) ** (l - m - 1) * factorial(m) * stirling2(l, m + 1) for m in range(l)]
+        for l in range(n_max + 1)
+    ]
+    s1 = [[stirling1(n, l) for l in range(n + 1)] for n in range(n_max + 1)]
     for k in ks:
-        # per-l weights sum_{m<l} (-1)^(l-m-1) m! S2(l, m+1) (m+1)^(1-k),
-        # summed from stirling2 so that they share nothing with fdpb_closed
-        weights = [
-            sum(
-                (-1) ** (l - m - 1) * factorial(m) * stirling2(l, m + 1)
-                * Fraction(m + 1) ** (1 - k)
-                for m in range(l)
-            )
-            for l in range(n_max + 1)
-        ]
+        if k > 1:
+            den = lcm(*range(1, n_max + 1)) ** (k - 1)
+            scale = [den // (m + 1) ** (k - 1) for m in range(n_max)]
+        else:
+            den = 1
+            scale = [(m + 1) ** (1 - k) for m in range(n_max)]
+        weights = [sum(map(mul, row, scale)) for row in terms]
         for n in range(1, n_max + 1):
             lhs = fam.fdpb_closed(n, k) - fam.fdpb_value(n, k, -1)
-            rhs = BiPoly(
-                {(n - l, 0): stirling1(n, l) * weights[l] for l in range(1, n + 1)}
-            )
+            rhs = BiPoly({(n - l, 0): s1[n][l] * weights[l] for l in range(1, n + 1)}) / den
             yield n, k, lhs, rhs
 
 
@@ -173,18 +176,16 @@ def _negative_route(n: int, k: int) -> BiPoly:
     """beta_n^(-k)(x) for k >= 0, through S2 and shifted falling factorials.
 
     Li_{-k}(z) = sum_j j! S2(k+1, j+1) (z/(1-z))^(j+1), and here z/(1-z)
-    is (1+Lt)^(1/L) - 1, so beta_n^(-k)(x) is
-    sum_j sum_(i<=j) (-1)^(j-i) C(j, i) j! S2(k+1, j+1) (x+i+1|L)_n.
+    is (1+Lt)^(1/L) - 1, so beta_n^(-k)(x) is sum_i c_i (x+i+1|L)_n with
+    c_i = sum_(j>=i) (-1)^(j-i) C(j, i) j! S2(k+1, j+1).
     """
+    s2 = [factorial(j) * stirling2(k + 1, j + 1) for j in range(k + 1)]
     return sum_of_products(
         (
-            BiPoly.const(
-                (-1) ** (j - i) * comb(j, i) * factorial(j) * stirling2(k + 1, j + 1)
-            ),
+            BiPoly.const(sum((-1) ** (j - i) * comb(j, i) * s2[j] for j in range(i, k + 1))),
             falling_product(X + (i + 1), n),
         )
-        for j in range(k + 1)
-        for i in range(j + 1)
+        for i in range(k + 1)
     )
 
 
@@ -202,11 +203,16 @@ def _cells_thm6(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_thm7(n_max: int, ks: range) -> Iterator[Cell]:
+    # beta_n(x + L) is read against the shift powers (x + L)^0..(x + L)^n_max,
+    # which have no n and no k
+    powers = [ONE]
+    for _ in range(n_max):
+        powers.append(powers[-1] * (X + LAM))
     for k in ks:
         for n in range(1, n_max + 1):
             poly = fam.fdpb_poly(n, k)
             lhs = LAM * fam.fdpb_poly(n - 1, k)
-            rhs = (poly.subst_x(X + LAM) - poly) / n
+            rhs = (sum_of_products(zip(poly.x_coeffs(), powers)) - poly) / n
             yield n, k, lhs, rhs
 
 
@@ -240,9 +246,18 @@ def _cells_eq38(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_deriv(n_max: int, ks: range) -> Iterator[Cell]:
+    # beta_n is Sheffer for f(t) = (e^(Lt) - 1)/L, so d/dx beta_n =
+    # sum_(l<n) C(n, l) <fbar | x^(n-l)> beta_l, with fbar the compositional
+    # inverse (1/L) log(1 + Lt) of f (Roman, The Umbral Calculus, 1984, ch. 2);
+    # the weights C(n, l) <fbar | x^(n-l)> = C(n, l) (-L)^(n-l-1) (n-l-1)!
+    # have no k
+    fbar = fps.lambda_log(n_max)
+    pairings = [umbral.pair(fbar, X ** j) for j in range(n_max + 1)]
+    weights = [[pairings[n - l] * comb(n, l) for l in range(n)] for n in range(n_max + 1)]
     for k in ks:
+        betas = [fam.fdpb_poly(n, k) for n in range(n_max + 1)]
         for n in range(n_max + 1):
-            yield n, k, fam.fdpb_x_derivative(n, k), fam.fdpb_poly(n, k).derivative_x()
+            yield n, k, sum_of_products(zip(weights[n], betas)), betas[n].derivative_x()
 
 
 def _cells_eq60(n_max: int, ks: range) -> Iterator[Cell]:

@@ -234,7 +234,11 @@ class BiPoly:
 
     def eval_at(self, lam: RatLike) -> BiPoly:
         """Substitute a rational value for L; the result is a polynomial in x."""
-        l_pow, scale = _scaled_powers(lam.numerator, lam.denominator, self.lambda_degree())
+        try:
+            p, q = lam.numerator, lam.denominator
+        except AttributeError:
+            raise TypeError(f"lambda {lam!r} is not an int or a Fraction") from None
+        l_pow, scale = _scaled_powers(p, q, self.lambda_degree())
         num: dict[int, int] = {}
         for key, c in self._num.items():
             x_key = key & ~_LMASK

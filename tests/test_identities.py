@@ -5,7 +5,7 @@ import pytest
 from fdpb import families as fam
 from fdpb import fps, identities, umbral
 from fdpb.fps import Series
-from fdpb.ring import LAM, ONE, X, ZERO, parse_poly
+from fdpb.ring import LAM, ONE, X, ZERO, parse_poly, sum_of_products
 from fdpb.identities import (
     Counterexample,
     EmptyRange,
@@ -88,9 +88,9 @@ class TestCheckAll:
         }
 
 
-def _perturbed(fn, at):
-    """fn, plus one at the arguments ``at``."""
-    return lambda *args: fn(*args) + ONE if args == at else fn(*args)
+def _perturbed(fn, at, by=ONE):
+    """fn, plus ``by`` (one by default) at the arguments ``at``."""
+    return lambda *args: fn(*args) + by if args == at else fn(*args)
 
 
 @pytest.fixture
@@ -251,6 +251,49 @@ class TestPerturbationIsCaught:
         route = _perturbed(identities._negative_route, (2, 1))
         monkeypatch.setattr(identities, "_negative_route", route)
         assert not check("THM6_NEGATIVE", n_max=3, k_range=(0, 2)).passed
+
+    def test_sheffer_derivative_reads_egf_pairings(self, monkeypatch):
+        # <fbar | x^2> is the EGF coefficient -L of (1/L) log(1 + Lt); a
+        # pairing that reads the ordinary coefficient -L/2 moves the n = 2 cell
+        monkeypatch.setattr(
+            umbral,
+            "pair",
+            lambda f, p: sum_of_products((c, f.coeff(j)) for j, c in enumerate(p.x_coeffs())),
+        )
+        report = check("DERIV_FORMULA", n_max=4, k_range=(1, 1))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (2, 1)
+
+    def test_derivative_of_a_perturbed_polynomial(self, monkeypatch):
+        # beta_3^(-1) + x moves the derivative side by 1 at its own cell; the
+        # Sheffer side reads beta_l for l < n only
+        monkeypatch.setattr(fam, "fdpb_poly", _perturbed(fam.fdpb_poly, (3, -1), X))
+        report = check("DERIV_FORMULA", n_max=5, k_range=(-2, 1))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (3, -1)
+
+    def test_sheffer_side_equals_the_suffix_recurrence(self):
+        cells = list(identities._cells_deriv(12, range(-3, 4)))
+        assert len(cells) == 91
+        for n, k, sheffer, _ in cells:
+            assert sheffer == fam.fdpb_x_derivative(n, k), (n, k)
+
+    def test_shift_quotient_of_a_perturbed_polynomial(self, monkeypatch):
+        # beta_3^(1) + x gives beta_3(x + L) - beta_3(x) an extra L at n = 3
+        monkeypatch.setattr(fam, "fdpb_poly", _perturbed(fam.fdpb_poly, (3, 1), X))
+        report = check("THM7_DIFFERENCE_QUOTIENT", n_max=5, k_range=(0, 2))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (3, 1)
+
+    def test_negative_index_weights(self, monkeypatch):
+        # S2(3, 2) + 1 moves c_0(2) by -1 and c_1(2) by +1: the sum of the
+        # weights, the n = 0 cell, is unchanged, and the n = 1 cell gains 1
+        monkeypatch.setattr(
+            identities, "stirling2", lambda n, l: stirling2(n, l) + ((n, l) == (3, 2))
+        )
+        report = check("THM6_NEGATIVE", n_max=3, k_range=(0, 3))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (1, 2)
 
     def test_unit_interval_integral(self, monkeypatch):
         monkeypatch.setattr(

@@ -140,6 +140,11 @@ class TestScalars:
         with pytest.raises(TypeError):
             X / value
 
+    @pytest.mark.parametrize("value", [0.5, "1/2"])
+    def test_eval_at_non_rational_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match=f"{value!r}"):
+            X.eval_at(value)
+
     @pytest.mark.parametrize("zero", [0, Fraction(0)])
     def test_division_by_zero(self, zero):
         with pytest.raises(ZeroDivisionError):
