@@ -124,20 +124,23 @@ def _polylog_over_z(k: int, lam: BiPoly, order: int) -> fps.Series:
     Coefficient n is (1/n!) sum_m m! (m+1)^(-k) u_m(n), read off the one
     table _Z_TABLE that every k and lam share: with the integer weights
     W_m = m! (m+1)^(-k) D, D = lcm(1..order+1)^k for k > 0 and 1 else, it
-    is sum_j s_j lam^j / (D n!), where s_j = sum_m W_m [lam^j] u_m(n).
+    is sum_j s_j lam^j / (D n!), where s_j = sum_m W_m [lam^j] u_m(n), one
+    integer numerator dict.  lam is a single term (L, 0 or a rational), its
+    powers read from _term_powers; those of a rational share a key, summed.
     """
     den = lcm(*range(1, order + 2)) ** k if k > 0 else 1
     weights = [factorial(m) * den // (m + 1) ** k if k > 0 else factorial(m) * (m + 1) ** -k
                for m in range(order + 1)]
     grow(_Z_TABLE, order, _z_column)
-    powers, coeffs = [ONE], []  # powers holds lam^0 .. lam^n at column n
+    keys, lam_pow, lam_den = _term_powers(lam, order)
+    coeffs = []
     for n, column in enumerate(_Z_TABLE[: order + 1]):
-        sums = (
-            (BiPoly._make({0: sum(w * u[j] for w, u in zip(weights, column[: n + 1 - j]))}, 1), p)
-            for j, p in enumerate(powers) if p
-        )
-        coeffs.append(sum_of_products(sums) / (den * factorial(n)))
-        powers.append(powers[-1] * lam)
+        num: dict[int, int] = {}
+        for j in range(n + 1):
+            if lam_pow[j]:
+                s = sum(w * u[j] for w, u in zip(weights, column[: n + 1 - j]))
+                num[keys[j]] = num.get(keys[j], 0) + s * lam_pow[j]
+        coeffs.append(BiPoly._make(num, den * factorial(n) * lam_den))
     return fps.Series(coeffs)
 
 
@@ -218,13 +221,11 @@ def _closed_sum(outer, row, n: int, arg: ArgLike, lam: ArgLike) -> BiPoly:
 
     outer holds the weights w_0 .. w_n and row the numbers b_0 .. b_n (or
     more), each as integer numerators over one denominator.  lam is a single
-    term, L or a rational; so is arg, or the sum is built at x and arg
-    substituted.  Every term goes straight into one numerator dict, which
-    is normalised once.
+    term, L or a rational, or _term_powers raises ValueError; so is arg, or
+    the sum is built at x and arg substituted.  Every term goes straight
+    into one numerator dict, which is normalised once.
     """
-    arg, lam = _coerce(arg), _coerce(lam)
-    if len(lam._num) > 1:
-        raise ValueError(f"lambda must be a single term (L, a rational, ...), got {lam}")
+    arg = _coerce(arg)
     if len(arg._num) > 1:
         return _closed_sum(outer, row, n, X, lam).subst_x(arg)
     weights, w_den = outer

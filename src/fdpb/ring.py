@@ -206,7 +206,9 @@ class BiPoly:
     def __mul__(self, other: BiPoly | RatLike) -> BiPoly:
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
-            return BiPoly._make({key: v * p for key, v in self._num.items()}, self._den * q)
+            g = gcd(self._den, p)  # den // g and p // g share no factor
+            num = self._num if p == g else {key: v * (p // g) for key, v in self._num.items()}
+            return BiPoly._make(num, self._den // g * q)
         if not isinstance(other, BiPoly):
             return NotImplemented
         return sum_of_products(((self, other),))
@@ -234,11 +236,9 @@ class BiPoly:
 
     def eval_at(self, lam: RatLike) -> BiPoly:
         """Substitute a rational value for L; the result is a polynomial in x."""
-        try:
-            p, q = lam.numerator, lam.denominator
-        except AttributeError:
-            raise TypeError(f"lambda {lam!r} is not an int or a Fraction") from None
-        l_pow, scale = _scaled_powers(p, q, self.lambda_degree())
+        if not isinstance(lam, (int, Fraction)):
+            raise TypeError(f"lambda {lam!r} is not an int or a Fraction")
+        _, l_pow, scale = _term_powers(lam, self.lambda_degree())
         num: dict[int, int] = {}
         for key, c in self._num.items():
             x_key = key & ~_LMASK
@@ -285,26 +285,24 @@ def _coerce(value: BiPoly | RatLike) -> BiPoly:
     return BiPoly.const(value)
 
 
-def _scaled_powers(p: int, q: int, top: int) -> tuple[list[int], int]:
-    """p**d * q**(top - d) for d = 0..top, and q**top, for the value p/q."""
-    p_pow = [1]
-    q_pow = [1]
-    for _ in range(top):
-        p_pow.append(p_pow[-1] * p)
-        q_pow.append(q_pow[-1] * q)
-    return [p_pow[d] * q_pow[top - d] for d in range(top + 1)], q_pow[top]
-
-
 def _term_powers(term: BiPoly | RatLike, top: int) -> tuple[list[int], list[int], int]:
     """term^j = nums[j] * (the monomial keyed keys[j]) / den, for j = 0..top.
 
-    term must be a single term c L^l x^d, such as L, x or a rational; its
-    powers are read off c = p/q as p^j q^(top - j) over q^top, in integers.
+    The ring's one table of powers of a single term c L^l x^d, such as L,
+    x, a rational or 0 (whose 0th power is 1): with c = p/q, nums[j] is
+    p^j q^(top - j) and den is q^top, all integers over one denominator.
+    A sum of terms raises ValueError.
     """
     term = _coerce(term)
-    ((key, num),) = term._num.items() or [(0, 0)]
-    nums, den = _scaled_powers(num, term._den, top)
-    return [key * j for j in range(top + 1)], nums, den
+    if len(term._num) > 1:
+        raise ValueError(f"not a single term (L, x, a rational, ...): {term}")
+    ((key, p),) = term._num.items() or [(0, 0)]
+    p_pow, q_pow = [1], [1]
+    for _ in range(top):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * term._den)
+    nums = [p_pow[j] * q_pow[top - j] for j in range(top + 1)]
+    return [key * j for j in range(top + 1)], nums, q_pow[top]
 
 
 def sum_of_products(pairs: Iterable[tuple[BiPoly, BiPoly]]) -> BiPoly:

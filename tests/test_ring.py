@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from fdpb.ring import (
     X,
     ZERO,
     BiPoly,
+    _key,
+    _term_powers,
     canonical_string,
     falling_product,
     parse_poly,
@@ -97,6 +100,28 @@ class TestEvalAt:
         assert (a + b).eval_at(lam=lam) == a.eval_at(lam=lam) + b.eval_at(lam=lam)
 
 
+class TestTermPowers:
+    """_term_powers: term^j = nums[j] * (the monomial keyed keys[j]) / den."""
+
+    @pytest.mark.parametrize("term", [LAM, X, 2 * LAM * X, Fraction(-2, 3), 0], ids=str)
+    def test_powers_of_a_single_term(self, term):
+        keys, nums, den = _term_powers(term, 4)
+        for j in range(5):
+            assert BiPoly._make({keys[j]: nums[j]}, den) == (ONE * term) ** j, j
+
+    def test_tables(self):
+        assert _term_powers(LAM, 3) == ([0, 1, 2, 3], [1, 1, 1, 1], 1)
+        assert _term_powers(X, 2) == ([0, _key(0, 1), _key(0, 2)], [1, 1, 1], 1)
+        assert _term_powers(2 * LAM * X, 2) == ([0, _key(1, 1), _key(2, 2)], [1, 2, 4], 1)
+        # p^j q^(top - j) over q^top for -2/3, and 0^0 = 1
+        assert _term_powers(Fraction(-2, 3), 3) == ([0] * 4, [27, -18, 12, -8], 27)
+        assert _term_powers(0, 3) == ([0] * 4, [1, 0, 0, 0], 1)
+
+    def test_a_sum_of_terms_is_rejected(self):
+        with pytest.raises(ValueError, match="single term"):
+            _term_powers(LAM + 1, 2)
+
+
 class TestCanonicalString:
     def test_zero(self):
         assert canonical_string(ZERO) == "0"
@@ -140,9 +165,9 @@ class TestScalars:
         with pytest.raises(TypeError):
             X / value
 
-    @pytest.mark.parametrize("value", [0.5, "1/2"])
+    @pytest.mark.parametrize("value", [0.5, "1/2", LAM], ids=str)
     def test_eval_at_non_rational_is_a_type_error(self, value):
-        with pytest.raises(TypeError, match=f"{value!r}"):
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
             X.eval_at(value)
 
     @pytest.mark.parametrize("zero", [0, Fraction(0)])

@@ -147,6 +147,11 @@ class TestCanonicalForm:
             (BiPoly({(1, 1): Fraction(4, 6), (0, 0): 0}), LAM * X * Fraction(2, 3)),
             (X * X - X * X, BiPoly()),
             (ONE * 7 / 7, ONE),
+            # an integer factor cancels against the denominator first
+            (X / 6 * 4, X * Fraction(2, 3)),
+            (X / 6 * 3, X / 2),
+            (X / 6 * -6, -X),
+            (X / 6 * 0, BiPoly()),
         ],
     )
     def test_equal_values_by_different_routes(self, first, second):

@@ -8,8 +8,9 @@ give the same series.  Orders run over 0..24; the orders where N + 1 is
 a perfect square (0, 3, 8, 15, 24) fill their last block exactly.  The
 polylogarithm quotient Li_k(z)/z of ``fdpb.families``, built from the
 differential equation of z = 1 - (1 + lam t)^(-1/lam), is compared with
-the power sum in z for a random lam, and for the families' own lam = L
-and lam = 0 at every order 0..32.  The table of n!/m! [t^n] z^m that every
+the power sum in z at lam = L, 0, 1/2, -2/3 and a random single term,
+and for the families' own lam = L and lam = 0 at every order 0..32; a
+lam of two terms is a ValueError.  The table of n!/m! [t^n] z^m that every
 quotient reads is compared, column by column, with the powers of z formed
 by series products, and at lam = 0 with (-1)^(n-m) S2(n, m).
 """
@@ -36,6 +37,10 @@ coefficients = st.builds(
 bipolys = st.dictionaries(
     st.tuples(st.integers(0, 1), st.integers(0, 1)), coefficients, max_size=3
 ).map(BiPoly)
+single_terms = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)), coefficients, max_size=1
+).map(BiPoly)
+FIXED_LAMBDAS = (LAM, ZERO, BiPoly.const(Fraction(1, 2)), BiPoly.const(Fraction(-2, 3)))
 orders = st.one_of(st.sampled_from(PERFECT_SQUARE_ORDERS), st.sampled_from(ORDERS))
 
 
@@ -77,9 +82,12 @@ class TestPolylogs:
     @given(data=st.data())
     @settings(max_examples=5, deadline=None)
     def test_polylog_over_z(self, k, data):
-        lam, order = data.draw(bipolys), data.draw(orders)
-        z = ref.degenerate_argument(lam, order)
-        assert families._polylog_over_z(k, lam, order) == ref.polylog_over_z(k, z)
+        # every power of a rational lam has the key of 1, so the numerators
+        # there must be summed, not overwritten
+        order = data.draw(orders)
+        for lam in (*FIXED_LAMBDAS, data.draw(single_terms)):
+            z = ref.degenerate_argument(lam, order)
+            assert families._polylog_over_z(k, lam, order) == ref.polylog_over_z(k, z), lam
 
     @given(data=st.data())
     @settings(max_examples=5, deadline=None)
@@ -101,6 +109,11 @@ class TestPolylogs:
                 assert families._polylog_over_z(k, lam, n) == expected.truncate(n), n
             z = z.truncate(24)  # the composition's orders are covered to 24
             assert sequences.polylog_series(k, z) == ref.polylog_series(k, z)
+
+
+def test_polylog_over_z_needs_a_single_term():
+    with pytest.raises(ValueError, match="single term"):
+        families._polylog_over_z(2, LAM + 1, 4)
 
 
 class TestZTable:
