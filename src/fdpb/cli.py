@@ -7,11 +7,12 @@ Three subcommands:
 * ``verify`` — run the identity suite, exit 0 iff everything passes
 
 All output is exact; no floating point anywhere.  Output is
-byte-deterministic for fixed flags.  Every value is read from the
-families' closed sums through ``FAMILIES``, one reader per family, never
-from a generating function or a memo (the fdpb memos hold values at L
-only, for the identity checks).  A rational ``--lambda`` is handed to the
-closed sums, so they compute at that value from the start.
+byte-deterministic for fixed flags.  Each family has two readers in
+``FAMILIES``: ``poly`` reads its closed sum at one n, and ``table`` its
+rows 0..n_max in one sweep (the Stirling transform at a rational lambda).
+Neither reads a generating function or a memo (the fdpb memos hold
+values at L only, for the identity checks).  A rational ``--lambda`` is
+handed to both, so they compute at that value from the start.
 
 Options are read against one table, ``OPTIONS``, which also renders
 ``-h``/``--help``.  Only exact option names are accepted, as
@@ -35,24 +36,32 @@ from .ring import LAM, BiPoly, X, canonical_string
 
 USAGE_ERROR = 2
 
-# family -> (whether it takes --k, its value at (n, k, arg, lam) from its closed sum)
+# family -> (whether it takes --k, its value at (n, k, arg, lam) from its
+# closed sum, its rows 0..n_max at (k, n_max, lam) in one sweep).  The
+# classical families are the degenerate ones at lam = 0, read straight off
+# the row of numbers.
 FAMILIES = {
-    "bernoulli": (False, lambda n, k, arg, lam: fam.bernoulli_value(n, arg)),
-    "carlitz": (False, lambda n, k, arg, lam: fam.carlitz_value(n, arg, lam)),
-    "daehee": (False, lambda n, k, arg, lam: fam.daehee_value(n, arg, lam)),
-    "polybernoulli": (True, lambda n, k, arg, lam: fam.poly_bernoulli_value(n, k, arg)),
-    "fdpb": (True, lambda n, k, arg, lam: fam.fdpb_value(n, k, arg, lam)),
+    "bernoulli": (False, lambda n, k, arg, lam: fam.bernoulli_value(n, arg),
+                  lambda k, n_max, lam: fam.daehee_rows(n_max, 0)),
+    "carlitz": (False, lambda n, k, arg, lam: fam.carlitz_value(n, arg, lam),
+                lambda k, n_max, lam: fam.carlitz_rows(n_max, lam)),
+    "daehee": (False, lambda n, k, arg, lam: fam.daehee_value(n, arg, lam),
+               lambda k, n_max, lam: fam.daehee_rows(n_max, lam)),
+    "polybernoulli": (True, lambda n, k, arg, lam: fam.poly_bernoulli_value(n, k, arg),
+                      lambda k, n_max, lam: fam.fdpb_rows(k, n_max, 0)),
+    "fdpb": (True, lambda n, k, arg, lam: fam.fdpb_value(n, k, arg, lam),
+             lambda k, n_max, lam: fam.fdpb_rows(k, n_max, lam)),
 }
-POLY_FAMILIES = tuple(name for name, (takes_k, _) in FAMILIES.items() if takes_k)
+POLY_FAMILIES = tuple(name for name, (takes_k, *_) in FAMILIES.items() if takes_k)
 
 
 class UsageError(Exception):
     """A command line that cannot run; ``main`` reports it and exits 2."""
 
 
-def _family_value(args: SimpleNamespace, n: int, arg: BiPoly | int) -> BiPoly:
-    """The value of --family at n and arg, built at the rational --lambda, or in L."""
-    return FAMILIES[args.family][1](n, args.k, arg, LAM if args.lam is None else args.lam)
+def _lam(args: SimpleNamespace) -> BiPoly | Fraction:
+    """The rational --lambda, or the symbol L."""
+    return LAM if args.lam is None else args.lam
 
 
 def _check_k(args: SimpleNamespace) -> None:
@@ -84,40 +93,47 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         raise UsageError(f"cannot write --out: {exc}")
 
 
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2) with its newline, joined in one piece."""
+    return "".join([*json.JSONEncoder(indent=2).iterencode(obj), "\n"])
+
+
+def _table_text(args: SimpleNamespace) -> str:
+    mode = _lambda_mode(args)
+    # every row from one reader, which builds the row of numbers once
+    values = FAMILIES[args.family][2](args.k, args.n_max, _lam(args))
+    rows = [
+        _record(args.family, n, args.k, mode, canonical_string(value))
+        for n, value in enumerate(values)
+    ]
+    del values  # rendered; they need not live while the text is joined
+    if args.format == "csv":
+        return "\n".join(["n,value", *(f"{r['n']},{r['value']}" for r in rows), ""])
+    return _json_text(rows)
+
+
 def cmd_table(args: SimpleNamespace) -> int:
     _check_k(args)
     if args.n_max < 0:
         raise UsageError(f"--n-max must be >= 0, got {args.n_max}")
-    mode = _lambda_mode(args)
-    # the last row first: its row of Kaneko's numbers serves every smaller n
-    values = [_family_value(args, n, 0) for n in range(args.n_max, -1, -1)]
-    rows = [
-        _record(args.family, n, args.k, mode, canonical_string(value))
-        for n, value in enumerate(reversed(values))
-    ]
-    if args.format == "csv":
-        lines = ["n,value"] + [f"{r['n']},{r['value']}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(_table_text(args), args.out)
     return 0
+
+
+def _poly_text(args: SimpleNamespace) -> str:
+    rendered = canonical_string(FAMILIES[args.family][1](args.n, args.k, X, _lam(args)))
+    if args.format == "json":
+        return _json_text(_record(args.family, args.n, args.k, _lambda_mode(args), rendered))
+    if args.format == "csv":
+        return f"n,value\n{args.n},{rendered}\n"
+    return rendered + "\n"
 
 
 def cmd_poly(args: SimpleNamespace) -> int:
     _check_k(args)
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {args.n}")
-    mode = _lambda_mode(args)
-    rendered = canonical_string(_family_value(args, args.n, X))
-    if args.format == "json":
-        record = _record(args.family, args.n, args.k, mode, rendered)
-        text = json.dumps(record, indent=2) + "\n"
-    elif args.format == "csv":
-        text = f"n,value\n{args.n},{rendered}\n"
-    else:
-        text = rendered + "\n"
-    _emit(text, args.out)
+    _emit(_poly_text(args), args.out)
     return 0
 
 

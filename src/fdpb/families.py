@@ -9,9 +9,9 @@ routes so the test suite can cross-check them:
 * classical poly-Bernoulli        Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}
 * fully degenerate poly-Bernoulli Li_k(1-(1+Lt)^{-1/L})/(1-(1+Lt)^{-1/L}) (1+Lt)^{x/L}
 
-Number values are the x = 0 case.  The ``*_value`` routes, which the CLI
-reads, make each family at any lambda and argument from one closed sum
-over integers (:func:`_closed_sum`),
+Number values are the x = 0 case.  The ``*_value`` routes, which the CLI's
+``poly`` reads, make each family at any lambda and argument from one
+closed sum over integers (:func:`_closed_sum`),
 
     sum_m w_m lam^(n-m) sum_l C(m, l) b_l x^(m-l),
 
@@ -24,6 +24,13 @@ outer weights w_m are a row of Stirling numbers: S1(n, m) for fdpb and
 Daehee, and for Carlitz the row of :func:`_carlitz_row`; the classical
 families, at lam = 0, take the unit row.  The identity checks re-read fdpb
 at L, so that alone is memoised: :func:`fdpb_closed` and :func:`fdpb_poly`.
+
+A table's numbers n = 0..N are read in one sweep, by :func:`fdpb_rows`,
+:func:`daehee_rows` and :func:`carlitz_rows`, at lam = 0 the classical
+ones.  Each is a Stirling transform sum_m S1(n, m) lam^(n-m) c_m of one
+row of numbers c: at a rational lam every row comes from one
+falling-factorial recurrence in integers (:func:`_stirling_transform`),
+with no S1 row, and at L each row is one product per coefficient.
 
 The generating functions stay available as the oracles.  Each is an
 argument-free quotient q(t) times an argument series
@@ -282,6 +289,82 @@ def carlitz_value(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
 def daehee_value(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
     """The Daehee-type degenerate value at lam, sum_m S1(n, m) lam^(n-m) B_m(arg)."""
     return _closed_sum((stirling1_row(n), 1), _bernoulli_row(n), n, arg, lam)
+
+
+def _stirling_transform(nums, p: int, q: int) -> list[int]:
+    """U_n(0) for n < len(nums), where U_0 = nums and
+    U_n(j) = q U_(n-1)(j+1) - (n-1) p U_(n-1)(j).
+
+    This is the falling-factorial recurrence T_n(j) = T_(n-1)(j+1) -
+    (n-1) lam T_(n-1)(j), T_0(j) = c_j, whose T_n(0) is the Stirling
+    transform sum_m S1(n, m) lam^(n-m) c_m (Bernstein & Sloane, "Some
+    canonical sequences of integers", Linear Algebra Appl. 226-228, 1995;
+    Comtet, Advanced Combinatorics, 1974, ch. 5), put in integers for
+    lam = p/q and c_j = nums[j] / D: U_n(j) = D q^n T_n(j).  Each step is
+    one shrinking list of small multiples, with no S1 row.  At p = 0 the
+    only weight is S1(n, n) = 1, and the rows are the numbers themselves.
+    """
+    if not p:
+        return list(nums)
+    u, rows = list(nums), []
+    for n in range(len(u)):
+        rows.append(u[0])
+        u = [q * a - n * p * b for a, b in zip(u[1:], u)]
+    return rows
+
+
+def _transform_rows(row, n_max: int, lam: ArgLike) -> list[BiPoly]:
+    """sum_m S1(n, m) lam^(n-m) c_m for n = 0..n_max, where row = (nums, den)
+    and c_m = nums[m] / den.
+
+    At a rational lam = p/q, row n is U_n(0) / (den q^n) by
+    :func:`_stirling_transform`.  At a single term such as L, each row
+    coefficient is one product, read against one power table for the
+    whole table, S1(n, m) lam^(n-m) c_m.
+    """
+    nums, den = row
+    lam = _coerce(lam)
+    if lam.is_constant():
+        lam = lam.constant()
+        u = _stirling_transform(nums[: n_max + 1], lam.numerator, lam.denominator)
+        return [BiPoly._make({0: a}, den * lam.denominator**n) for n, a in enumerate(u)]
+    keys, scale, lam_den = _term_powers(lam, n_max)
+    return [
+        BiPoly._make(
+            {keys[n - m]: s * scale[n - m] * nums[m] for m, s in enumerate(stirling1_row(n))},
+            den * lam_den,
+        )
+        for n in range(n_max + 1)
+    ]
+
+
+def fdpb_rows(k: int, n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
+    """The numbers beta_0^(k) .. beta_(n_max)^(k) at lam, in one sweep; at lam = 0
+    they are Kaneko's numbers."""
+    return _transform_rows(_kaneko_row(k, n_max), n_max, lam)
+
+
+def daehee_rows(n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
+    """The Daehee-type numbers at lam, n = 0..n_max, in one sweep; at lam = 0
+    they are the Bernoulli numbers."""
+    return _transform_rows(_bernoulli_row(n_max), n_max, lam)
+
+
+def carlitz_rows(n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
+    """Carlitz's numbers at lam, n = 0..n_max, in one sweep.
+
+    Row n is lam^n b_n + n T_(n-1), from the weights of :func:`_carlitz_row`:
+    T is the Stirling transform of c_m = B_(m+1)/(m+1) at lam, and b_n, the
+    Bernoulli number of the second kind, that of 1/(m+1) at lam = 1.
+    """
+    nums, den = _bernoulli_row(n_max)
+    top = lcm(*range(1, n_max + 2))
+    second = _stirling_transform([top // (m + 1) for m in range(n_max + 1)], 1, 1)
+    inner = [nums[m + 1] * (top // (m + 1)) for m in range(n_max)]
+    tail = [ZERO] + _transform_rows((inner, den * top), n_max - 1, lam)
+    keys, scale, lam_den = _term_powers(lam, n_max)
+    return [BiPoly._make({keys[n]: scale[n] * second[n]}, top * lam_den) + tail[n] * n
+            for n in range(n_max + 1)]
 
 
 def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:

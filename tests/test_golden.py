@@ -19,7 +19,10 @@ past n = 60 were captured while those families were read from their
 generating functions, before they were built from closed sums.  The
 verify command at n-max 12 over k in [-2, 4], the benchmark's second
 window, was captured while THM8_INTEGRAL still paired (e^t - 1)/t with
-each polynomial, before that cell was dropped.
+each polynomial, before that cell was dropped.  The four tables at
+lambda = -2/3, -1/2 and 1/2 before the verify commands were captured while
+``table`` read each row from its own closed sum, before the rows of every
+family were read in one sweep (the Stirling transform at a rational lambda).
 Changes to the arithmetic core must leave every byte as it is.
 """
 
@@ -109,6 +112,17 @@ def _commands() -> list[tuple[str, ...]]:
         ("table", "--family", "daehee", "--n-max", "60", "--symbolic"),
         ("table", "--family", "daehee", "--n-max", "64", "--lambda=-3", "--format", "json"),
         ("poly", "--family", "bernoulli", "--n", "60"),
+    ]
+    # tables at a rational lambda with p != +-1 and q != 1, and the one-row
+    # table, captured while every row was its own closed sum, before the
+    # rows were read in one sweep by the Stirling transform
+    out += [
+        ("table", "--family", "fdpb", "--k", "2", "--n-max", "60", "--lambda=-2/3",
+         "--format", "json"),
+        ("table", "--family", "carlitz", "--n-max", "40", "--lambda=-2/3"),
+        ("table", "--family", "polybernoulli", "--k", "2", "--n-max", "30", "--lambda=-1/2",
+         "--format", "json"),
+        ("table", "--family", "fdpb", "--k", "-3", "--n-max", "0", "--lambda=1/2"),
     ]
     out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
     out.append(("verify", "--suite", "all", "--n-max", "12", "--k-min", "-2", "--k-max", "4",
