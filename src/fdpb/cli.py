@@ -12,7 +12,10 @@ byte-deterministic for fixed flags.  Each family has two readers in
 rows 0..n_max in one sweep (the Stirling transform at a rational lambda).
 Neither reads a generating function or a memo (the fdpb memos hold
 values at L only, for the identity checks).  A rational ``--lambda`` is
-handed to both, so they compute at that value from the start.
+handed to both, so they compute at that value from the start.  The
+classical families are read as degenerate ones at lambda = 0: ``bernoulli``
+as ``daehee`` and ``polybernoulli`` as ``fdpb``, whatever ``--lambda``
+says; a record's ``lambda`` field echoes the option as given.
 
 Options are read against one table, ``OPTIONS``, which also renders
 ``-h``/``--help``.  Only exact option names are accepted, as
@@ -36,20 +39,18 @@ from .ring import LAM, BiPoly, X, canonical_string
 
 USAGE_ERROR = 2
 
-# family -> (whether it takes --k, its value at (n, k, arg, lam) from its
-# closed sum, its rows 0..n_max at (k, n_max, lam) in one sweep).  The
-# classical families are the degenerate ones at lam = 0, read straight off
-# the row of numbers.
+# family -> (whether it takes --k, its polynomial at (n, k, lam) from its
+# closed sum, its rows 0..n_max at (k, n_max, lam) in one sweep)
 FAMILIES = {
-    "bernoulli": (False, lambda n, k, arg, lam: fam.bernoulli_value(n, arg),
+    "bernoulli": (False, lambda n, k, lam: fam.daehee_value(n, X, 0),
                   lambda k, n_max, lam: fam.daehee_rows(n_max, 0)),
-    "carlitz": (False, lambda n, k, arg, lam: fam.carlitz_value(n, arg, lam),
+    "carlitz": (False, lambda n, k, lam: fam.carlitz_value(n, X, lam),
                 lambda k, n_max, lam: fam.carlitz_rows(n_max, lam)),
-    "daehee": (False, lambda n, k, arg, lam: fam.daehee_value(n, arg, lam),
+    "daehee": (False, lambda n, k, lam: fam.daehee_value(n, X, lam),
                lambda k, n_max, lam: fam.daehee_rows(n_max, lam)),
-    "polybernoulli": (True, lambda n, k, arg, lam: fam.poly_bernoulli_value(n, k, arg),
+    "polybernoulli": (True, lambda n, k, lam: fam.fdpb_value(n, k, X, 0),
                       lambda k, n_max, lam: fam.fdpb_rows(k, n_max, 0)),
-    "fdpb": (True, lambda n, k, arg, lam: fam.fdpb_value(n, k, arg, lam),
+    "fdpb": (True, lambda n, k, lam: fam.fdpb_value(n, k, X, lam),
              lambda k, n_max, lam: fam.fdpb_rows(k, n_max, lam)),
 }
 POLY_FAMILIES = tuple(name for name, (takes_k, *_) in FAMILIES.items() if takes_k)
@@ -121,7 +122,7 @@ def cmd_table(args: SimpleNamespace) -> int:
 
 
 def _poly_text(args: SimpleNamespace) -> str:
-    rendered = canonical_string(FAMILIES[args.family][1](args.n, args.k, X, _lam(args)))
+    rendered = canonical_string(FAMILIES[args.family][1](args.n, args.k, _lam(args)))
     if args.format == "json":
         return _json_text(_record(args.family, args.n, args.k, _lambda_mode(args), rendered))
     if args.format == "csv":

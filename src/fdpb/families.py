@@ -21,9 +21,10 @@ as integer numerators over one shared denominator, or the Bernoulli numbers
 B_l = (-1)^l B_l^(1).  The change of variable u = (1/L) log(1 + Lt) turns
 each L-dependent generating function into a classical one in u, so the
 outer weights w_m are a row of Stirling numbers: S1(n, m) for fdpb and
-Daehee, and for Carlitz the row of :func:`_carlitz_row`; the classical
-families, at lam = 0, take the unit row.  The identity checks re-read fdpb
-at L, so that alone is memoised: :func:`fdpb_closed` and :func:`fdpb_poly`.
+Daehee, and for Carlitz the row of :func:`_carlitz_row`.  A classical family
+is its degenerate family at lam = 0, where only w_n = 1 is left and no row
+is built.  The identity checks re-read fdpb at L, so that alone is
+memoised: :func:`fdpb_closed` and :func:`fdpb_poly`.
 
 A table's numbers n = 0..N are read in one sweep, by :func:`fdpb_rows`,
 :func:`daehee_rows` and :func:`carlitz_rows`, at lam = 0 the classical
@@ -203,8 +204,8 @@ def _bernoulli_row(n: int) -> tuple[list[int], int]:
     return [-c if l % 2 else c for l, c in enumerate(nums[: n + 1])], den
 
 
-def _unit_row(n: int) -> tuple[tuple[int, ...], int]:
-    return (0,) * n + (1,), 1
+def _stirling1_weights(n: int) -> tuple[tuple[int, ...], int]:
+    return stirling1_row(n), 1
 
 
 def _carlitz_row(n: int) -> tuple[list[int], int]:
@@ -226,23 +227,27 @@ def _carlitz_row(n: int) -> tuple[list[int], int]:
 def _closed_sum(outer, row, n: int, arg: ArgLike, lam: ArgLike) -> BiPoly:
     """sum_m w_m lam^(n-m) sum_l C(m, l) b_l arg^(m-l), m, l = 0..n, in integers.
 
-    outer holds the weights w_0 .. w_n and row the numbers b_0 .. b_n (or
-    more), each as integer numerators over one denominator.  lam is a single
-    term, L or a rational, or _term_powers raises ValueError; so is arg, or
-    the sum is built at x and arg substituted.  Every term goes straight
-    into one numerator dict, which is normalised once.
+    outer(n) builds the weights w_0 .. w_n, and row holds the numbers b_0 ..
+    b_n (or more), each as integer numerators over one denominator.  At
+    lam = 0 only m = n is left, with w_n = 1 in every family, so no weights
+    are built.  lam is a single term, L or a rational, or _term_powers raises
+    ValueError; so is arg, or the sum is built at x and arg substituted.
+    Every term goes straight into one numerator dict, normalised once.
     """
-    arg = _coerce(arg)
+    if n < 0:
+        raise ValueError(f"a closed sum has no index {n}")
+    arg, lam = _coerce(arg), _coerce(lam)
     if len(arg._num) > 1:
         return _closed_sum(outer, row, n, X, lam).subst_x(arg)
-    weights, w_den = outer
-    nums, b_den = row
     lam_keys, lam_scale, lam_den = _term_powers(lam, n)
+    weights, w_den = outer(n) if lam else ((1,), 1)
+    nums, b_den = row
     # at arg = 0 only the l = m terms are left, with arg^0 = 1
     arg_keys, arg_scale, arg_den = _term_powers(arg, n if arg else 0)
     acc: dict[int, int] = {}
     get = acc.get
-    for m, w in enumerate(weights):
+    # the weights end at w_n: all of them, or w_n = 1 alone at lam = 0
+    for m, w in enumerate(weights, n + 1 - len(weights)):
         w *= lam_scale[n - m]
         if not w:
             continue
@@ -255,7 +260,7 @@ def _closed_sum(outer, row, n: int, arg: ArgLike, lam: ArgLike) -> BiPoly:
 
 def fdpb_value(n: int, k: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
     """The value at arg and lam, sum_m S1(n, m) lam^(n-m) B_m^(k)(arg), not a series."""
-    return _closed_sum((stirling1_row(n), 1), _kaneko_row(k, n), n, arg, lam)
+    return _closed_sum(_stirling1_weights, _kaneko_row(k, n), n, arg, lam)
 
 
 # the identity checks' memos, at L
@@ -271,24 +276,14 @@ def fdpb_poly(n: int, k: int) -> BiPoly:
     return fdpb_value(n, k, X)
 
 
-def poly_bernoulli_value(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
-    """Classical poly-Bernoulli number, polynomial or value, from Kaneko's numbers."""
-    return _closed_sum(_unit_row(n), _kaneko_row(k, n), n, arg, ZERO)
-
-
-def bernoulli_value(n: int, arg: ArgLike = 0) -> BiPoly:
-    """Bernoulli number, polynomial or value, sum_l C(n, l) B_l arg^(n-l)."""
-    return _closed_sum(_unit_row(n), _bernoulli_row(n), n, arg, ZERO)
-
-
 def carlitz_value(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
     """Carlitz's degenerate Bernoulli number or polynomial at lam, as a closed sum."""
-    return _closed_sum(_carlitz_row(n), _bernoulli_row(n), n, arg, lam)
+    return _closed_sum(_carlitz_row, _bernoulli_row(n), n, arg, lam)
 
 
 def daehee_value(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
     """The Daehee-type degenerate value at lam, sum_m S1(n, m) lam^(n-m) B_m(arg)."""
-    return _closed_sum((stirling1_row(n), 1), _bernoulli_row(n), n, arg, lam)
+    return _closed_sum(_stirling1_weights, _bernoulli_row(n), n, arg, lam)
 
 
 def _stirling_transform(nums, p: int, q: int) -> list[int]:

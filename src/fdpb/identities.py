@@ -29,7 +29,7 @@ from .ring import (
     falling_product,
     sum_of_products,
 )
-from .sequences import stirling1, stirling2
+from .sequences import stirling1, stirling1_row, stirling2
 
 
 class UnknownIdentity(Exception):
@@ -121,7 +121,7 @@ def _cells_thm2(n_max: int, ks: range) -> Iterator[Cell]:
         [(-1) ** (l - m - 1) * factorial(m) * stirling2(l, m + 1) for m in range(l)]
         for l in range(n_max + 1)
     ]
-    s1 = [[stirling1(n, l) for l in range(n + 1)] for n in range(n_max + 1)]
+    s1 = [stirling1_row(n) for n in range(n_max + 1)]
     for k in ks:
         if k > 1:
             den = lcm(*range(1, n_max + 1)) ** (k - 1)
@@ -148,15 +148,16 @@ def _cells_thm3(n_max: int, ks: range) -> Iterator[Cell]:
 
 def _cells_thm4(n_max: int, ks: range) -> Iterator[Cell]:
     # each family's closed sum against its generating function: fdpb as
-    # numbers in L, the other four as polynomials in x (and L)
+    # numbers in L, the other four as polynomials in x (and L); the two
+    # classical ones are the fdpb and Daehee closed sums at lam = 0
     for k in ks:
         for n in range(n_max + 1):
             yield n, k, fam.fdpb_gf(n, k), fam.fdpb_closed(n, k)
-            yield n, k, fam.classical_poly_bernoulli(n, k, X), fam.poly_bernoulli_value(n, k, X)
+            yield n, k, fam.classical_poly_bernoulli(n, k, X), fam.fdpb_value(n, k, X, 0)
     for n in range(n_max + 1):
         yield n, None, fam.carlitz_beta(n, X), fam.carlitz_value(n, X)
         yield n, None, fam.daehee_type_b(n, X), fam.daehee_value(n, X)
-        yield n, None, fam.bernoulli_poly(n), fam.bernoulli_value(n, X)
+        yield n, None, fam.bernoulli_poly(n), fam.daehee_value(n, X, 0)
 
 
 def _cells_thm5(n_max: int, ks: range) -> Iterator[Cell]:

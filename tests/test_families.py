@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from fdpb import families, fps
+from fdpb import families, fps, sequences
 from fdpb.ring import LAM, ONE, X, ZERO, BiPoly
 from fdpb.families import (
     RouteMismatch,
     bernoulli_poly,
-    bernoulli_value,
     carlitz_beta,
     carlitz_value,
     classical_poly_bernoulli,
@@ -20,7 +19,6 @@ from fdpb.families import (
     fdpb_value,
     fdpb_x_derivative,
     integral_unit_interval,
-    poly_bernoulli_value,
 )
 from fdpb.identities import _negative_route
 from fdpb.sequences import bernoulli, stirling2
@@ -78,7 +76,7 @@ class TestClosedSums:
         for n in range(21):
             assert carlitz_value(n, arg) == carlitz_beta(n, arg), n
             assert daehee_value(n, arg) == daehee_type_b(n, arg), n
-            assert bernoulli_value(n, arg) == bernoulli_poly(n, arg), n
+            assert daehee_value(n, arg, 0) == bernoulli_poly(n, arg), n
             for k in (-2, 2):
                 assert fdpb_value(n, k, arg) == fdpb_gf(n, k, arg), (n, k)
 
@@ -88,6 +86,27 @@ class TestClosedSums:
         with pytest.raises(ValueError, match="single term"):
             value(*args, 0, lam=LAM + 1)
 
+    @pytest.mark.parametrize("lam", (LAM, 0, HALF), ids=("L", "0", "1/2"))
+    @pytest.mark.parametrize("value", (carlitz_value, daehee_value, fdpb_value))
+    def test_negative_index_is_a_value_error(self, value, lam):
+        args = (-1, 2) if value is fdpb_value else (-1,)
+        with pytest.raises(ValueError, match="no index -1"):
+            value(*args, 0, lam)
+
+    def test_classical_values_build_no_weight_row(self, monkeypatch):
+        # at lam = 0 only w_n = 1 is left: no S1 row grows, and Carlitz's
+        # weight row is never built
+        monkeypatch.setattr(sequences, "_STIRLING1", [(1,)])
+
+        def no_row(n):
+            raise AssertionError(f"the weight row of n = {n} was built at lam = 0")
+
+        monkeypatch.setattr(families, "_carlitz_row", no_row)
+        values = fdpb_value(40, 2, X, 0), daehee_value(40, X, 0), carlitz_value(40, X, 0)
+        assert len(sequences._STIRLING1) == 1
+        expected = classical_poly_bernoulli(40, 2, X), bernoulli_poly(40), bernoulli_poly(40)
+        assert values == expected
+
     def test_values_do_not_depend_on_call_order(self):
         # a Kaneko row grown one n at a time is rescaled to each larger
         # denominator; it must give the values of a row built at once
@@ -95,7 +114,7 @@ class TestClosedSums:
             families._KANEKO.clear()
             fdpb_closed.cache_clear()
             return {
-                n: (fdpb_closed(n, 2), poly_bernoulli_value(n, -2, X), carlitz_value(n))
+                n: (fdpb_closed(n, 2), fdpb_value(n, -2, X, 0), carlitz_value(n))
                 for n in ns
             }
 
@@ -104,7 +123,7 @@ class TestClosedSums:
     def test_first_values(self):
         assert carlitz_value(1) == (LAM - ONE) / 2
         assert daehee_value(1, X) == X - HALF
-        assert bernoulli_value(2, X) == X * X - X + BiPoly.const(Fraction(1, 6))
+        assert daehee_value(2, X, 0) == X * X - X + BiPoly.const(Fraction(1, 6))
 
     def test_equal_values_by_two_routes_hash_equal(self):
         # the hash is kept per instance, and an equal value built by another
@@ -144,7 +163,7 @@ class TestClassicalPolyBernoulli:
         for k in K_RANGE:
             for n in range(31):
                 expected = classical_poly_bernoulli(n, k, arg)
-                assert poly_bernoulli_value(n, k, arg) == expected, (n, k)
+                assert fdpb_value(n, k, arg, 0) == expected, (n, k)
 
 
 class TestFdpbNumbers:
@@ -319,13 +338,13 @@ class TestSeriesMemo:
         assert fdpb_gf(25, 2, X) == fdpb_value(25, 2, X)
         assert [n for _, n in columns] == list(range(1, 33))
         assert len(families._Z_TABLE) == 33
-        assert classical_poly_bernoulli(12, -3, X) == poly_bernoulli_value(12, -3, X)
+        assert classical_poly_bernoulli(12, -3, X) == fdpb_value(12, -3, X, 0)
         assert len(columns) == 32
 
     def test_bernoulli_numbers_share_the_polynomials_series(self, monkeypatch):
         # t/(e^t - 1) is the only series here built through series_exp
         exps = self.counted(monkeypatch, fps, "series_exp")
-        assert bernoulli_poly(20) == bernoulli_value(20, X)
+        assert bernoulli_poly(20) == daehee_value(20, X, 0)
         assert len(exps) == 1
         assert bernoulli(5) == 0 and bernoulli(20) == Fraction(-174611, 330)
         assert len(exps) == 1

@@ -198,10 +198,9 @@ class TestPerturbationIsCaught:
         assert (report.counterexample.n, report.counterexample.k) == (4, -1)
 
     def test_poly_bernoulli_value(self, monkeypatch):
-        # THM4 compares the classical closed sum with its series, polynomial in x
-        monkeypatch.setattr(
-            fam, "poly_bernoulli_value", _perturbed(fam.poly_bernoulli_value, (4, -2, X))
-        )
+        # THM4 compares the classical closed sum, fdpb's at lam = 0, with its
+        # series, polynomial in x
+        monkeypatch.setattr(fam, "fdpb_value", _perturbed(fam.fdpb_value, (4, -2, X, 0)))
         report = check("THM4_CLOSED", n_max=6, k_range=(-3, 2))
         assert not report.passed
         assert (report.counterexample.n, report.counterexample.k) == (4, -2)

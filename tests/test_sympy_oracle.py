@@ -9,7 +9,7 @@ Li_k(z)/z as the finite sum of z^m / (m+1)^k (z starts at t, so m <= N is
 enough to order N), and Carlitz's t / ((1+Lt)^(1/L) - 1) (1+Lt)^(x/L) and
 the Daehee-type (1/L) log(1+Lt) / ((1+Lt)^(1/L) - 1) (1+Lt)^(x/L).  The
 classical Li_k(1 - e^(-t)) / (1 - e^(-t)) e^(xt) checks the Kaneko rows
-alone, since ``poly_bernoulli_value`` reads no Stirling weight.  sympy
+alone, since ``fdpb_value`` at lambda = 0 reads no Stirling weight.  sympy
 expands each factor to t^N and multiplies the factors as polynomials in t,
 and each n! [t^n] is read back through ``parse_poly``.  The Stirling and
 Bernoulli tables are compared with ``sympy.functions.combinatorial.numbers``.
@@ -18,7 +18,7 @@ sympy is a test-only dependency; the file is skipped without it.
 
 import pytest
 
-from fdpb.families import carlitz_value, daehee_value, fdpb_poly, poly_bernoulli_value
+from fdpb.families import carlitz_value, daehee_value, fdpb_poly, fdpb_value
 from fdpb.ring import X, parse_poly
 from fdpb.sequences import bernoulli, stirling1, stirling2
 
@@ -65,7 +65,7 @@ def test_classical_generating_function_coefficients(k):
     z = _expanded(1 - sympy.exp(-t))
     gf = _polylog_over_z(z, k) * _expanded(sympy.exp(x * t))
     for n, coeff in enumerate(_coefficients(gf)):
-        assert coeff == poly_bernoulli_value(n, k, X), n
+        assert coeff == fdpb_value(n, k, X, 0), n
 
 
 @pytest.mark.parametrize("family", ("carlitz", "daehee"))
