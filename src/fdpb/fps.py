@@ -16,7 +16,8 @@ baby steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput. 2,
 coefficient builders (:func:`degenerate_pow`, :func:`lambda_log`) so that
 no coefficient ever leaves Q[L, x]; dividing literally by the scalar L
 would force a rational-function ring.  :func:`degenerate_pow` takes lam,
-the symbol L by default or a rational; at lam = 0 it is exp(mu t).
+the symbol L by default or a rational, and reads its coefficients from the
+ring's table of falling factorials (mu|lam)_n; at lam = 0 it is exp(mu t).
 
 The series that the families and identity checks re-read at many n are
 memoised in one place, :func:`longest`, which keeps the longest series
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, isqrt
 
-from .ring import LAM, ONE, ZERO, BiPoly, RatLike, _coerce, sum_of_products
+from .ring import LAM, ONE, ZERO, BiPoly, RatLike, _coerce, falling_product, sum_of_products
 
 
 class SeriesError(Exception):
@@ -238,16 +239,10 @@ def longest(build, *key, n: int) -> Series:
 def degenerate_pow(mu: BiPoly | RatLike, order: int, lam: BiPoly | RatLike = LAM) -> Series:
     """The series (1 + lam t)^(mu/lam), built without dividing by lam.
 
-    Its EGF coefficient n is the generalized falling factorial
-    mu (mu - lam) ... (mu - (n-1) lam); at lam = 0 the series is exp(mu t).
+    Its EGF coefficient n is (mu|lam)_n from the ring's table
+    :func:`falling_product`; at lam = 0 it is mu^n and the series exp(mu t).
     """
-    mu, lam = _coerce(mu), _coerce(lam)
-    coeffs = []
-    acc = ONE
-    for n in range(order + 1):
-        coeffs.append(acc / factorial(n))
-        acc = acc * (mu - lam * n)
-    return Series(coeffs)
+    return Series([falling_product(mu, n, lam) / factorial(n) for n in range(order + 1)])
 
 
 def lambda_log(order: int) -> Series:

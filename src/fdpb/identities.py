@@ -3,9 +3,10 @@
 Every identity is verified as an exact equality of bivariate polynomials
 (simultaneously in L and x), never at sampled numeric points.  Each cell
 compares two independent routes, so either side can fail on its own: the
-addition formula is compared power by power of its shift variable y, and
-the negative-index formula against a route through Stirling numbers of
-the second kind alone.
+addition formula is compared power by power of its shift variable y, the
+negative-index formula against a route through Stirling numbers of the
+second kind alone, and S1(j, e) L^(j-e) is read off the ring's (x|L)_j, not
+from the S1 rows that weight the closed sums.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ring import (
     falling_product,
     sum_of_products,
 )
-from .sequences import stirling1, stirling1_row, stirling2
+from .sequences import stirling2
 
 
 class UnknownIdentity(Exception):
@@ -86,12 +87,11 @@ Cell = tuple[int, Optional[int], BiPoly, BiPoly]
 
 def _cells_thm1_addition(n_max: int, ks: range) -> Iterator[Cell]:
     # beta_n(x + y) = sum_m C(n, m) beta_m(x) (y|L)_{n-m}, compared power by
-    # power of y through (y|L)_j = sum_e S1(j, e) L^{j-e} y^e; the power
-    # e = 0 reads beta_n = beta_n and is left out; the weights have no k
+    # power of y through the y^e coefficient S1(j, e) L^{j-e} of (y|L)_j; the
+    # power e = 0 reads beta_n = beta_n and is left out; the weights have no k
+    falling = [falling_product(X, j).x_coeffs() for j in range(n_max + 1)]
     weights = {
-        (n, e): [
-            BiPoly({(n - m - e, 0): comb(n, m) * stirling1(n - m, e)}) for m in range(n - e + 1)
-        ]
+        (n, e): [falling[n - m][e] * comb(n, m) for m in range(n - e + 1)]
         for n in range(1, n_max + 1) for e in range(1, n + 1)
     }
     for k in ks:
@@ -114,14 +114,14 @@ def _cells_thm1_limit(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_thm2(n_max: int, ks: range) -> Iterator[Cell]:
-    # per-l weights sum_{m<l} (-1)^(l-m-1) m! S2(l, m+1) (m+1)^(1-k), summed
-    # from stirling2 so that they share nothing with fdpb_closed; the S2
-    # terms have no k, and per k the weights are integers over den
+    # sum_l [x^l] (x|L)_n W_l, W_l = sum_{m<l} (-1)^(l-m-1) m! S2(l, m+1)
+    # (m+1)^(1-k), so that it shares no table with fdpb_closed; the S2 terms
+    # have no k, and per k the weights are integers over den
     terms = [
         [(-1) ** (l - m - 1) * factorial(m) * stirling2(l, m + 1) for m in range(l)]
         for l in range(n_max + 1)
     ]
-    s1 = [stirling1_row(n) for n in range(n_max + 1)]
+    falling = [falling_product(X, n).x_coeffs() for n in range(n_max + 1)]
     for k in ks:
         if k > 1:
             den = lcm(*range(1, n_max + 1)) ** (k - 1)
@@ -129,10 +129,10 @@ def _cells_thm2(n_max: int, ks: range) -> Iterator[Cell]:
         else:
             den = 1
             scale = [(m + 1) ** (1 - k) for m in range(n_max)]
-        weights = [sum(map(mul, row, scale)) for row in terms]
+        weights = [BiPoly.const(sum(map(mul, row, scale))) for row in terms]
         for n in range(1, n_max + 1):
             lhs = fam.fdpb_closed(n, k) - fam.fdpb_value(n, k, -1)
-            rhs = BiPoly({(n - l, 0): s1[n][l] * weights[l] for l in range(1, n + 1)}) / den
+            rhs = sum_of_products(zip(falling[n][1:], weights[1:])) / den
             yield n, k, lhs, rhs
 
 
@@ -147,17 +147,23 @@ def _cells_thm3(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_thm4(n_max: int, ks: range) -> Iterator[Cell]:
-    # each family's closed sum against its generating function: fdpb as
-    # numbers in L, the other four as polynomials in x (and L); the two
-    # classical ones are the fdpb and Daehee closed sums at lam = 0
+    # each family's closed sum, and its table rows at L, against its generating
+    # function: fdpb as numbers in L, the other four as polynomials in x (and
+    # L); the two classical ones are the fdpb and Daehee closed sums at lam = 0
     for k in ks:
+        rows = fam.fdpb_rows(k, n_max)
         for n in range(n_max + 1):
-            yield n, k, fam.fdpb_gf(n, k), fam.fdpb_closed(n, k)
+            gf = fam.fdpb_gf(n, k)
+            yield n, k, gf, fam.fdpb_closed(n, k)
             yield n, k, fam.classical_poly_bernoulli(n, k, X), fam.fdpb_value(n, k, X, 0)
+            yield n, k, gf, rows[n]
+    carlitz, daehee = fam.carlitz_rows(n_max), fam.daehee_rows(n_max)
     for n in range(n_max + 1):
         yield n, None, fam.carlitz_beta(n, X), fam.carlitz_value(n, X)
         yield n, None, fam.daehee_type_b(n, X), fam.daehee_value(n, X)
         yield n, None, fam.bernoulli_poly(n), fam.daehee_value(n, X, 0)
+        yield n, None, fam.carlitz_beta(n), carlitz[n]
+        yield n, None, fam.daehee_type_b(n), daehee[n]
 
 
 def _cells_thm5(n_max: int, ks: range) -> Iterator[Cell]:
@@ -204,16 +210,12 @@ def _cells_thm6(n_max: int, ks: range) -> Iterator[Cell]:
 
 
 def _cells_thm7(n_max: int, ks: range) -> Iterator[Cell]:
-    # beta_n(x + L) is read against the shift powers (x + L)^0..(x + L)^n_max,
-    # which have no n and no k
-    powers = [ONE]
-    for _ in range(n_max):
-        powers.append(powers[-1] * (X + LAM))
+    # beta_n(x + L) reads the powers of x + L from the ring's table
     for k in ks:
         for n in range(1, n_max + 1):
             poly = fam.fdpb_poly(n, k)
             lhs = LAM * fam.fdpb_poly(n - 1, k)
-            rhs = (sum_of_products(zip(poly.x_coeffs(), powers)) - poly) / n
+            rhs = (poly.subst_x(X + LAM) - poly) / n
             yield n, k, lhs, rhs
 
 

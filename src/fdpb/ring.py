@@ -229,10 +229,7 @@ class BiPoly:
     def __pow__(self, n: int) -> BiPoly:
         if n < 0:
             raise ValueError("negative powers are not defined in Q[L, x]")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
+        return falling_product(self, n, ZERO)
 
     def eval_at(self, lam: RatLike) -> BiPoly:
         """Substitute a rational value for L; the result is a polynomial in x."""
@@ -247,10 +244,7 @@ class BiPoly:
 
     def subst_x(self, replacement: BiPoly | RatLike) -> BiPoly:
         """Substitute a polynomial for x (e.g. the shift x -> x + L)."""
-        replacement = _coerce(replacement)
-        powers = [ONE]
-        for _ in range(self.x_degree()):
-            powers.append(powers[-1] * replacement)
+        powers = _falling_rows(replacement, self.x_degree(), ZERO)
         return sum_of_products(zip(self.x_coeffs(), powers))
 
     def derivative_x(self) -> BiPoly:
@@ -347,15 +341,23 @@ def grow(rows: list, n: int, step):
     return rows[n]
 
 
-# mu -> [(mu|L)_0, (mu|L)_1, ...], grown by falling_product
-_falling: dict[BiPoly, list[BiPoly]] = {}
+# (mu, lam) -> [(mu|lam)_0, (mu|lam)_1, ...], grown by falling_product
+_falling: dict[tuple[BiPoly, BiPoly], list[BiPoly]] = {}
 
 
-def falling_product(mu: BiPoly | RatLike, n: int) -> BiPoly:
-    """Generalized falling factorial mu * (mu - L) * ... * (mu - (n-1) L)."""
-    mu = _coerce(mu)
-    rows = _falling.setdefault(mu, [ONE])
-    return grow(rows, n, lambda prev, i: prev * (mu - LAM * (i - 1)))
+def _falling_rows(mu: BiPoly | RatLike, n: int, lam: BiPoly | RatLike) -> list[BiPoly]:
+    """The table's own list (mu|lam)_0, (mu|lam)_1, ..., grown to row n; read, never change it."""
+    mu, lam = _coerce(mu), _coerce(lam)
+    rows = _falling.setdefault((mu, lam), [ONE])
+    grow(rows, n, lambda prev, i: prev * (mu - lam * (i - 1)))
+    return rows
+
+
+def falling_product(mu: BiPoly | RatLike, n: int, lam: BiPoly | RatLike = LAM) -> BiPoly:
+    """The degenerate falling factorial (mu|lam)_n = mu (mu - lam) ... (mu - (n-1) lam),
+    n! [t^n] (1 + lam t)^(mu/lam); at lam = 0 the power mu^n, which ``**`` and
+    subst_x read.  Every (mu, lam) keeps its rows for the life of the process."""
+    return _falling_rows(mu, n, lam)[n]
 
 
 @contextmanager

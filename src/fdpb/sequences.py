@@ -74,7 +74,7 @@ def bernoulli_second_kind(n: int) -> Fraction:
     return Fraction(sum(s * (top // (m + 1)) for m, s in enumerate(stirling1_row(n))), top)
 
 
-# the generalized falling factorial mu (mu - L) ... (mu - (n-1) L)
+# (mu|lam)_n = mu (mu - lam) ... (mu - (n-1) lam), lam = L by default, mu^n at 0
 gen_falling = falling_product
 
 

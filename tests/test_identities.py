@@ -3,9 +3,9 @@ import json
 import pytest
 
 from fdpb import families as fam
-from fdpb import fps, identities, umbral
+from fdpb import fps, identities, sequences, umbral
 from fdpb.fps import Series
-from fdpb.ring import LAM, ONE, X, ZERO, parse_poly, sum_of_products
+from fdpb.ring import LAM, ONE, X, ZERO, falling_product, parse_poly, sum_of_products
 from fdpb.identities import (
     Counterexample,
     EmptyRange,
@@ -16,7 +16,7 @@ from fdpb.identities import (
     check_all,
     reports_to_json,
 )
-from fdpb.sequences import stirling1, stirling2
+from fdpb.sequences import stirling1_row, stirling2
 
 SMOKE = dict(n_max=2, k_range=(-1, 2))
 
@@ -76,12 +76,13 @@ class TestCheckAll:
 
     def test_cell_counts(self):
         # n <= 12, k in [-3, 3]: THM1_ADDITION has one cell per k, n >= 1 and
-        # power e = 1..n of y (7 * 78); THM3_K2 checks k = 2 alone, the EQ
+        # power e = 1..n of y (7 * 78); THM4_CLOSED three per k and n and five
+        # per n (7 * 39 + 65); THM3_K2 checks k = 2 alone, the EQ
         # identities no k, and ITERATED_INTEGRAL k = 2, 3, 4 whatever the range
         counts = {r.identity.value: r.cells for r in check_all(n_max=12, k_range=(-3, 3))}
         assert counts == {
             "THM1_ADDITION": 546, "THM1_LIMIT": 117, "THM2_DIFFERENCE": 84,
-            "THM3_K2": 13, "THM4_CLOSED": 221, "THM5_RECURRENCE": 84,
+            "THM3_K2": 13, "THM4_CLOSED": 338, "THM5_RECURRENCE": 84,
             "THM6_NEGATIVE": 104, "THM7_DIFFERENCE_QUOTIENT": 84, "THM8_INTEGRAL": 91,
             "EQ9_DELTA": 12, "EQ14_SHIFT": 13, "EQ38_FALLING_INTEGRAL": 13,
             "DERIV_FORMULA": 91, "EQ60_BASIS": 91, "ITERATED_INTEGRAL": 39,
@@ -216,14 +217,30 @@ class TestPerturbationIsCaught:
         monkeypatch.setattr(fam, "fdpb_poly", _perturbed(fam.fdpb_poly, (1, 0)))
         ce = check("THM1_ADDITION", n_max=6, k_range=(-1, 2)).counterexample
         assert (ce.n, ce.k) == (2, 0)
-        # S1(4, 2) + 1 enters the weights of every k from the cell n = 4, e = 2
-        # on, so the first counterexample moves to k = -1 while k is the outer loop
+        # S1(4, 2) + 1, read as the x^2 coefficient of (x|L)_4 plus L^2, enters
+        # the weights of every k from the cell n = 4, e = 2 on, so the first
+        # counterexample moves to k = -1 while k is the outer loop
         monkeypatch.setattr(
-            identities, "stirling1", lambda n, e: stirling1(n, e) + ((n, e) == (4, 2))
+            identities, "falling_product", _perturbed(falling_product, (X, 4), LAM**2 * X**2)
         )
         ce = check("THM1_ADDITION", n_max=6, k_range=(-1, 2)).counterexample
         assert (ce.n, ce.k) == (4, -1)
         assert ce.lhs == fam.fdpb_poly(4, -1).derivative_x().derivative_x() / 2
+
+    def test_difference_reads_no_stirling_table(self, monkeypatch):
+        # S1(3, 1) off by one, with rows 4 and up regrown from it, moves the
+        # closed sums of the left side by L^2 at n = 3; the right side reads
+        # S1 as the x-coefficients of the ring's (x|L)_n, so it does not move
+        rows = [stirling1_row(n) for n in range(3)] + [(0, 3, -3, 1)]
+        fam.fdpb_closed.cache_clear()
+        monkeypatch.setattr(sequences, "_STIRLING1", rows)
+        try:
+            report = check("THM2_DIFFERENCE", 5, (1, 2))
+        finally:
+            fam.fdpb_closed.cache_clear()
+        # the corrupted row reached row 5, which the left side reads
+        assert stirling1_row(5) != (0, 24, -50, 35, -10, 1)
+        assert (report.counterexample.n, report.counterexample.k) == (3, 1)
 
     def test_difference_right_side(self, monkeypatch):
         # in THM2, identities.stirling2 feeds only the right side's weights
@@ -245,6 +262,23 @@ class TestPerturbationIsCaught:
         assert (ce.n, ce.k) == (3, 1)
         assert ce.lhs == fam.classical_poly_bernoulli(3, 1, X)
         assert not ce.rhs.is_lambda_free()
+
+    def test_table_rows_at_l(self, monkeypatch):
+        # THM4 reads the CLI's table rows at L: a symbolic branch of
+        # _transform_rows whose row 3 is off by L fails the fdpb row cell of
+        # n = 3, placed after the closed-sum cells of that n
+        original = fam._transform_rows
+
+        def perturbed(row, n_max, lam):
+            rows = original(row, n_max, lam)
+            return [r + LAM if (n, lam) == (3, LAM) else r for n, r in enumerate(rows)]
+
+        monkeypatch.setattr(fam, "_transform_rows", perturbed)
+        report = check("THM4_CLOSED", n_max=5, k_range=(-1, 1))
+        assert not report.passed
+        ce = report.counterexample
+        assert (ce.n, ce.k) == (3, -1)
+        assert ce.lhs == fam.fdpb_gf(3, -1) and ce.rhs == ce.lhs + LAM
 
     def test_negative_index_route(self, monkeypatch):
         route = _perturbed(identities._negative_route, (2, 1))

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ring_reference as ref
-from fdpb.ring import LAM, ONE, X, BiPoly, canonical_string, parse_poly, sum_of_products
+from fdpb.ring import (
+    LAM, ONE, X, BiPoly, canonical_string, falling_product, parse_poly, sum_of_products,
+)
 
 coefficients = st.builds(
     Fraction,
@@ -168,3 +170,40 @@ class TestCanonicalForm:
         right = pa * pb + pb * pb
         assert left == right
         assert hash(left) == hash(right)
+
+
+# the bases and lambdas of the falling-factorial table, each as the
+# production value and its reference twin
+TABLE_BASES = [
+    (X, ref.X),
+    (ONE, ref.ONE),
+    (X + LAM, ref.X + ref.LAM),
+    (X * 2 - Fraction(1, 3), ref.X * 2 - Fraction(1, 3)),
+]
+TABLE_LAMBDAS = [(LAM, ref.LAM), *((r, r) for r in (0, Fraction(1, 2), Fraction(-2, 3), 3))]
+
+
+class TestFallingTable:
+    """falling_product(mu, n, lam), the ring's one table of (mu|lam)_n and mu^n."""
+
+    @pytest.mark.parametrize("mu, ref_mu", TABLE_BASES)
+    @pytest.mark.parametrize("lam, ref_lam", TABLE_LAMBDAS)
+    def test_rows_are_the_reference_products(self, mu, ref_mu, lam, ref_lam):
+        expected = ref.ONE
+        for n in range(9):
+            assert_same(falling_product(mu, n, lam), expected)
+            expected = expected * (ref_mu - ref_lam * n)
+
+    @pytest.mark.parametrize("mu", [mu for mu, _ in TABLE_BASES])
+    @pytest.mark.parametrize("lam", [lam for lam, _ in TABLE_LAMBDAS[1:]])
+    def test_a_rational_lambda_is_the_symbolic_row_evaluated(self, mu, lam):
+        # eval_at also substitutes lam for the L of x + L, so the base is
+        # evaluated with it
+        for n in range(9):
+            assert falling_product(mu.eval_at(lam), n, lam) == falling_product(mu, n).eval_at(lam)
+
+    @pytest.mark.parametrize("mu, ref_mu", TABLE_BASES)
+    def test_lambda_zero_rows_are_the_reference_powers(self, mu, ref_mu):
+        for n in range(9):
+            assert_same(falling_product(mu, n, 0), ref_mu**n)
+            assert_same(mu**n, ref_mu**n)
