@@ -16,7 +16,7 @@ closed sum over integers (:func:`_closed_sum`),
     sum_m w_m lam^(n-m) sum_l C(m, l) b_l x^(m-l),
 
 at the symbol L or a rational lam alike.  The numbers b_l are Kaneko's
-B_l^(k), grown per k along an Akiyama-Tanigawa diagonal (:func:`_kaneko_row`)
+B_l^(k), built per k along Akiyama-Tanigawa anti-diagonals (:func:`_kaneko_row`)
 as integer numerators over one shared denominator, or the Bernoulli numbers
 B_l = (-1)^l B_l^(1).  The change of variable u = (1/L) log(1 + Lt) turns
 each L-dependent generating function into a classical one in u, so the
@@ -162,9 +162,8 @@ def fdpb_gf(n: int, k: int, arg: ArgLike = 0) -> BiPoly:
     return _read(n, arg, LAM, _polylog_over_z, k, LAM)
 
 
-# k -> numerators of Kaneko's B_0^(k) .. B_N^(k), their shared denominator,
-# and the last anti-diagonal c^j_(N-j), j = 0..N, over the same denominator
-_KANEKO: dict[int, tuple[tuple[int, ...], int, list[int]]] = {}
+# k -> numerators of Kaneko's B_0^(k) .. B_N^(k) and their shared denominator
+_KANEKO: dict[int, tuple[tuple[int, ...], int]] = {}
 
 
 def _kaneko_row(k: int, n: int) -> tuple[tuple[int, ...], int]:
@@ -174,28 +173,21 @@ def _kaneko_row(k: int, n: int) -> tuple[tuple[int, ...], int]:
     B_l^(k) = (-1)^l c^l_0 (Kaneko, "The Akiyama-Tanigawa algorithm for
     Bernoulli numbers", J. Integer Seq. 3, 2000).  Each new l starts from
     c^0_l and walks the last anti-diagonal once, to c^l_0.  For k > 0 the
-    row is put over lcm(1..N+1)^k; for k <= 0 every number is an integer.
-    The longest row built serves every smaller n; a longer one rescales the
-    row and the diagonal to the new denominator and appends the numbers it
-    lacks.
+    row is put over lcm(1..n+1)^k; for k <= 0 every number is an integer.
+    The longest row built serves every smaller n; a longer one is built anew.
     """
-    nums, den, diag = _KANEKO.get(k, ((), 1, []))
-    if len(nums) > n:
-        return nums, den
-    scale = 1
-    if k > 0:
-        top = lcm(*range(1, n + 2)) ** k
-        scale, den = top // den, top
-    row = [b * scale for b in nums]
-    diag = [c * scale for c in diag]
-    for l in range(len(row), n + 1):
+    row = _KANEKO.get(k)
+    if row and len(row[0]) > n:
+        return row
+    den = lcm(*range(1, n + 2)) ** k if k > 0 else 1
+    nums, diag = [], []
+    for l in range(n + 1):
         c = den // (l + 1) ** k if k > 0 else (l + 1) ** -k
         # c^j_(l-j) = (l-j) c^(j-1)_(l-j) - (l-j+1) c^(j-1)_(l-j+1), j = 1..l
         diag = [c] + [c := (l - j) * d - (l - j + 1) * c for j, d in enumerate(diag, 1)]
-        row.append(-c if l % 2 else c)
-    nums = tuple(row)
-    _KANEKO[k] = nums, den, diag
-    return nums, den
+        nums.append(-c if l % 2 else c)
+    _KANEKO[k] = row = tuple(nums), den
+    return row
 
 
 def _bernoulli_row(n: int) -> tuple[list[int], int]:
@@ -385,23 +377,10 @@ def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:
 
 
 def fdpb_x_derivative(n: int, k: int) -> BiPoly:
-    """d/dx of the degree-n polynomial, by omit-one-factor products.
+    """d/dx of the degree-n polynomial, read off the memoised :func:`fdpb_poly`.
 
-    d/dx (x|L)_d = sum_{j<d} P_j S_{d,j}, where P_j = (x|L)_j is the prefix
-    product of the factors (x - L i) and S_{d,j} = prod_{j<i<d} (x - L i)
-    the suffix product.  With w_d = C(n, d) beta_{n-d}, the suffix side
-    T_j = sum_{d>j} w_d S_{d,j} obeys T_j = w_{j+1} + (x - L(j+1)) T_{j+1},
-    so the derivative is sum_j P_j T_j, assembled with one sum_of_products.
-    verify no longer reads it (DERIV_FORMULA uses the Sheffer derivative
-    formula); it stays as a tested reference and a benchmark tracer label.
-    """
-    pairs = []
-    suffix = ZERO
-    for j in range(n - 1, -1, -1):
-        weight = fdpb_closed(n - j - 1, k) * comb(n, j + 1)
-        suffix = weight + (X - LAM * (j + 1)) * suffix
-        pairs.append((falling_product(X, j), suffix))
-    return sum_of_products(pairs)
+    No command reads it; the name stays for perfbench's tracer label."""
+    return fdpb_poly(n, k).derivative_x()
 
 
 @lru_cache(maxsize=None)

@@ -12,11 +12,10 @@ from the S1 rows that weight the closed sums.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import families as fam
 from . import fps, umbral
@@ -41,8 +40,7 @@ class EmptyRange(ValueError):
     """The requested (n, k) box leaves an identity nothing to check."""
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     n: int
     k: Optional[int]
     lhs: BiPoly
@@ -57,8 +55,7 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     identity: IdentityId
     n_max: int
     k_min: int

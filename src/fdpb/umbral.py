@@ -13,9 +13,9 @@ out of a triangular back-substitution against the monic basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from . import fps
 from .ring import ONE, ZERO, BiPoly, canonical_string, sum_of_products
@@ -51,8 +51,7 @@ def sheffer_delta(order: int) -> fps.Series:
     return fps.Series(coeffs)
 
 
-@dataclass(frozen=True)
-class BasisExpansion:
+class BasisExpansion(NamedTuple):
     degree: int
     k: int
     coefficients: tuple[BiPoly, ...]

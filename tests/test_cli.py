@@ -376,18 +376,26 @@ class TestParser:
             elif default is not None:
                 assert f"default: {default}" in row
 
-    def test_a_command_imports_no_argparse(self):
-        # argparse's parser loads gettext and locale in a cold process
-        script = (
-            "import sys\n"
-            "from fdpb.cli import main\n"
-            "main(['poly', '--family', 'fdpb', '--k', '2', '--n', '3', '--lambda', '-1/2'])\n"
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
-        )
+    @staticmethod
+    def loaded_in_cold_process(script, modules):
+        """Which of modules a fresh interpreter has loaded after script."""
+        script = f"import sys\n{script}\nprint(sorted({set(modules)!r} & set(sys.modules)))\n"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env,
             timeout=60, check=True,
         )
-        assert done.stdout.splitlines()[-1] == "[]"
+        return done.stdout.splitlines()[-1]
+
+    def test_a_command_imports_no_argparse(self):
+        # argparse's parser loads gettext and locale in a cold process
+        script = (
+            "from fdpb.cli import main\n"
+            "main(['poly', '--family', 'fdpb', '--k', '2', '--n', '3', '--lambda', '-1/2'])"
+        )
+        assert self.loaded_in_cold_process(script, {"argparse", "gettext", "locale"}) == "[]"
+
+    def test_import_loads_no_dataclasses(self):
+        # the result records are NamedTuples; dataclasses would also load inspect
+        assert self.loaded_in_cold_process("import fdpb", {"dataclasses", "inspect"}) == "[]"

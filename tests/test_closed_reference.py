@@ -57,8 +57,8 @@ def test_kaneko_row_matches_surjection_sum_cold(k):
 
 @pytest.mark.parametrize("k", K_RANGE)
 def test_kaneko_row_matches_surjection_sum_grown(k):
-    # a row grown in these uneven steps is rescaled, numbers and diagonal,
-    # wherever lcm(1..N+1) grows: at every step but 10 -> 11
+    # a row asked for in these uneven steps is built anew over
+    # lcm(1..N+1)^k, which grows at every step but 10 -> 11
     fam._KANEKO.clear()
     for n in (3, 10, 11, 40, 300):
         assert fam._kaneko_row(k, n) == ref.kaneko_row(k, n), n
