@@ -12,8 +12,6 @@ from .sequences import (
     bernoulli,
     bernoulli_second_kind,
     gen_falling,
-    polylog_series,
-    stirling1,
     stirling2,
 )
 from .families import (
@@ -34,8 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BiPoly", "Rat", "Series", "LAM", "ONE", "X", "ZERO",
     "canonical_string", "parse_poly", "degenerate_pow", "egf_coeff",
-    "bernoulli", "bernoulli_second_kind", "gen_falling", "polylog_series",
-    "stirling1", "stirling2",
+    "bernoulli", "bernoulli_second_kind", "gen_falling", "stirling2",
     "carlitz_beta", "carlitz_value", "classical_poly_bernoulli",
     "daehee_type_b", "daehee_value",
     "fdpb_closed", "fdpb_gf", "fdpb_poly", "fdpb_value",

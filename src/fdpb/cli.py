@@ -53,7 +53,6 @@ FAMILIES = {
     "fdpb": (True, lambda n, k, lam: fam.fdpb_value(n, k, X, lam),
              lambda k, n_max, lam: fam.fdpb_rows(k, n_max, lam)),
 }
-POLY_FAMILIES = tuple(name for name, (takes_k, *_) in FAMILIES.items() if takes_k)
 
 
 class UsageError(Exception):
@@ -66,9 +65,10 @@ def _lam(args: SimpleNamespace) -> BiPoly | Fraction:
 
 
 def _check_k(args: SimpleNamespace) -> None:
-    if args.family in POLY_FAMILIES and args.k is None:
+    takes_k = FAMILIES[args.family][0]
+    if takes_k and args.k is None:
         raise UsageError(f"--k is required for family {args.family!r}")
-    if args.family not in POLY_FAMILIES and args.k is not None:
+    if not takes_k and args.k is not None:
         raise UsageError(f"--k does not apply to family {args.family!r}")
 
 
@@ -84,7 +84,7 @@ def _record(family: str, n: int, k: Optional[int], mode: str, value: str) -> dic
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if not out_path:
+    if out_path is None:
         sys.stdout.write(text)
         return
     try:
@@ -164,7 +164,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     except identities.EmptyRange as exc:
         raise UsageError(str(exc))
     if args.format == "json":
-        sys.stdout.write(identities.reports_to_json(reports) + "\n")
+        sys.stdout.write(_json_text([r.to_dict() for r in reports]))
     else:
         for report in reports:
             sys.stdout.write(_format_report(report) + "\n")

@@ -58,15 +58,6 @@ from .sequences import bernoulli_second_kind, bernoulli_series, stirling1_row
 ArgLike = BiPoly | RatLike
 
 
-class RouteMismatch(Exception):
-    """Two supposedly equivalent computation routes disagreed."""
-
-    def __init__(self, message: str, lhs: BiPoly, rhs: BiPoly):
-        super().__init__(f"{message}: {lhs} != {rhs}")
-        self.lhs = lhs
-        self.rhs = rhs
-
-
 def _argument(arg: BiPoly, lam: BiPoly, order: int) -> fps.Series:
     """The argument series (1 + lam t)^(arg/lam), for every family."""
     return fps.degenerate_pow(arg, order, lam)
@@ -359,13 +350,12 @@ def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:
 
     Starting from (1/L)log(1+Lt) / (((1+Lt)^{1/L}-1)(1+Lt)), integrate and
     divide by ((1+Lt)^{1/L}-1)(1+Lt) alternately (k-1 integrals in all),
-    then multiply by (1+Lt)^{1/L} and divide by (1+Lt)^{1/L}-1.
+    then add g/((1+Lt)^{1/L}-1) to g, which is g (1+Lt)^{1/L} / ((1+Lt)^{1/L}-1).
     """
     if k < 2:
         raise ValueError("iterated-integral route needs k >= 2")
     order = n_max + 2
-    pw = fps.degenerate_pow(ONE, order)
-    pm1 = pw - fps.Series.constant(ONE, order)
+    pm1 = _degenerate_expm1(order)
     one_plus = fps.Series([ONE, LAM] + [ZERO] * (order - 1))
     kernel = pm1 * one_plus
     g = fps.series_div(fps.lambda_log(order), kernel)
@@ -373,7 +363,7 @@ def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:
         g = fps.series_integrate(g)
         if i < k - 2:
             g = fps.series_div(g, kernel)
-    return fps.series_div(g * pw, pm1)
+    return g + fps.series_div(g, pm1)
 
 
 def fdpb_x_derivative(n: int, k: int) -> BiPoly:

@@ -11,7 +11,6 @@ from the S1 rows that weight the closed sums.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from math import comb, factorial, lcm
 from operator import mul
@@ -346,7 +345,3 @@ def check_all(
 ) -> list[Report]:
     """Run every identity; reports come back in declaration order."""
     return [check(ident, n_max, k_range) for ident in IdentityId]
-
-
-def reports_to_json(reports: list[Report]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)

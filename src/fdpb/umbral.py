@@ -19,8 +19,17 @@ from typing import NamedTuple
 
 from . import fps
 from .ring import ONE, ZERO, BiPoly, canonical_string, sum_of_products
-from .families import RouteMismatch, _polylog_over_z, fdpb_poly
+from .families import _polylog_over_z, fdpb_poly
 from .sequences import stirling2
+
+
+class RouteMismatch(Exception):
+    """Two supposedly equivalent computation routes disagreed."""
+
+    def __init__(self, message: str, lhs: BiPoly, rhs: BiPoly):
+        super().__init__(f"{message}: {lhs} != {rhs}")
+        self.lhs = lhs
+        self.rhs = rhs
 
 
 def pair(f: fps.Series, p: BiPoly) -> BiPoly:
@@ -37,10 +46,10 @@ def pair(f: fps.Series, p: BiPoly) -> BiPoly:
 
 
 def sheffer_invertible(k: int, order: int) -> fps.Series:
-    """g(t) = (1 - e^{-t}) / Li_k(1 - e^{-t}); order drops by one."""
-    return fps.series_div(
-        fps.Series.constant(ONE, order - 1), _polylog_over_z(k, ZERO, order - 1)
-    )
+    """g(t) = (1 - e^{-t}) / Li_k(1 - e^{-t}); order drops by one.  Li_k(z)/z is
+    the classical poly-Bernoulli quotient, read from its fps.longest entry."""
+    quotient = fps.longest(_polylog_over_z, k, ZERO, n=order - 1)
+    return fps.series_div(fps.Series.constant(ONE, order - 1), quotient)
 
 
 def sheffer_delta(order: int) -> fps.Series:

@@ -109,6 +109,13 @@ class TestOut:
         assert "cannot write --out" in captured.err
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv", [TABLE, POLY])
+    def test_empty_path_is_usage_error(self, capsys, argv):
+        assert run_expect_usage_error(*argv, "--out=") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write --out" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -396,6 +403,8 @@ class TestParser:
         )
         assert self.loaded_in_cold_process(script, {"argparse", "gettext", "locale"}) == "[]"
 
-    def test_import_loads_no_dataclasses(self):
-        # the result records are NamedTuples; dataclasses would also load inspect
-        assert self.loaded_in_cold_process("import fdpb", {"dataclasses", "inspect"}) == "[]"
+    def test_import_loads_no_dataclasses_or_json(self):
+        # the result records are NamedTuples; dataclasses would also load
+        # inspect. JSON is written by the CLI alone, so only it loads json
+        modules = {"dataclasses", "inspect", "json"}
+        assert self.loaded_in_cold_process("import fdpb", modules) == "[]"

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from fdpb import families, fps, sequences
+from fdpb import families, fps, sequences, umbral
 from fdpb.ring import LAM, ONE, X, ZERO, BiPoly
 from fdpb.families import (
-    RouteMismatch,
     bernoulli_poly,
     carlitz_beta,
     carlitz_value,
@@ -22,6 +21,7 @@ from fdpb.families import (
 )
 from fdpb.identities import _negative_route
 from fdpb.sequences import bernoulli, stirling2
+from fdpb.umbral import RouteMismatch
 
 HALF = Fraction(1, 2)
 K_RANGE = range(-3, 4)
@@ -335,6 +335,15 @@ class TestSeriesMemo:
         assert len(families._Z_TABLE) == 33
         assert classical_poly_bernoulli(12, -3, X) == fdpb_value(12, -3, X, 0)
         assert len(columns) == 32
+
+    def test_sheffer_functional_shares_the_classical_quotient(self, monkeypatch):
+        # one counting builder under both names, so one memo key serves both
+        quotients = self.counted(monkeypatch, families, "_polylog_over_z")
+        monkeypatch.setattr(umbral, "_polylog_over_z", families._polylog_over_z)
+        classical_poly_bernoulli(10, 2, X)
+        p = X**8 + LAM * X**3 - ONE
+        assert umbral.sheffer_expand(p, 2).reconstruct() == p
+        assert len(quotients) == 1
 
     def test_bernoulli_numbers_share_the_polynomials_series(self, monkeypatch):
         # t/(e^t - 1) is the only series here built through series_exp

@@ -4,7 +4,7 @@ import pytest
 
 import closed_reference
 from fdpb import families as fam
-from fdpb import fps, identities, sequences, umbral
+from fdpb import cli, fps, identities, sequences, umbral
 from fdpb.fps import Series
 from fdpb.ring import LAM, ONE, X, ZERO, falling_product, parse_poly, sum_of_products
 from fdpb.identities import (
@@ -15,7 +15,6 @@ from fdpb.identities import (
     UnknownIdentity,
     check,
     check_all,
-    reports_to_json,
 )
 from fdpb.sequences import stirling1_row, stirling2
 
@@ -364,6 +363,6 @@ class TestReports:
 
     def test_json_serialization_roundtrips(self):
         reports = check_all(n_max=1, k_range=(1, 1))
-        parsed = json.loads(reports_to_json(reports))
+        parsed = json.loads(cli._json_text([r.to_dict() for r in reports]))
         assert [p["identity"] for p in parsed] == [i.value for i in IdentityId]
         assert all(p["status"] == "pass" for p in parsed)
