@@ -34,13 +34,14 @@ falling-factorial recurrence in integers (:func:`_stirling_transform`),
 with no S1 row, and at L each row is one product per coefficient.
 
 The generating functions stay available as the oracles.  Each is an
-argument-free quotient q(t) times an argument series
-A(t) = (1+Lt)^{arg/L}, which is e^{arg t} at L = 0.  The polylogarithm
-quotients Li_k(z)/z at every k and lambda read one integer table of
-n!/m! [t^n] z^m, grown from z's differential equation (:data:`_Z_TABLE`).
-Both q and A are read through :func:`fps.longest`, which keeps the longest
-series built per builder and key (k, lambda, arg) and serves every smaller n.
-A value n! [t^n] q A is one fused sum of q_j a_(n-j), or n! q_n at arg = 0.
+argument-free quotient q(t) times an argument series A(t) = (1+Lt)^{arg/L},
+which is e^{arg t} at L = 0.  Three quotient builders serve the five families:
+Carlitz's t/((1+Lt)^{1/L} - 1) at L and at 0 (Bernoulli), Daehee's, and
+Li_k(z)/z at L and at 0 (classical poly-Bernoulli), at every k and lambda from
+one integer table of n!/m! [t^n] z^m grown from z's differential equation
+(:data:`_Z_TABLE`).  Both q and A are read through :func:`fps.longest`, which
+keeps the longest series built per builder and key (k, lambda, arg) and serves
+every smaller n.  A value n! [t^n] q A is one fused sum of q_j a_(n-j).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .ring import (
     LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _term_powers, falling_product,
     grow, sum_of_products,
 )
-from .sequences import bernoulli_second_kind, bernoulli_series, stirling1_row
+from .sequences import bernoulli_second_kind, carlitz_quotient, degenerate_expm1, stirling1_row
 
 ArgLike = BiPoly | RatLike
 
@@ -65,35 +66,24 @@ def _argument(arg: BiPoly, lam: BiPoly, order: int) -> fps.Series:
 
 def _read(n: int, arg: ArgLike, lam: BiPoly, build, *key) -> BiPoly:
     """n! [t^n] of build's quotient q times (1 + lam t)^(arg/lam), as one sum
-    of q_j a_(n-j)."""
+    of q_j a_(n-j); at arg = 0 the argument series is 1."""
     q = fps.longest(build, *key, n=n).coeffs
-    arg = _coerce(arg)
-    if arg.is_zero():
-        return q[n] * factorial(n)
-    a = fps.longest(_argument, arg, lam, n=n).coeffs
+    a = fps.longest(_argument, _coerce(arg), lam, n=n).coeffs
     return sum_of_products((q[j], a[n - j]) for j in range(n + 1)) * factorial(n)
 
 
 def bernoulli_poly(n: int, arg: ArgLike = X) -> BiPoly:
-    """Bernoulli polynomial B_n, or its value at a rational argument."""
-    return _read(n, arg, ZERO, bernoulli_series)
-
-
-def _degenerate_expm1(order: int) -> fps.Series:
-    return fps.degenerate_pow(ONE, order) - fps.Series.constant(ONE, order)
-
-
-def _carlitz_quotient(order: int) -> fps.Series:
-    return fps.series_div(fps.Series.t(order), _degenerate_expm1(order))
+    """Bernoulli polynomial B_n or its value at arg, from Carlitz's quotient at lam = 0."""
+    return _read(n, arg, ZERO, carlitz_quotient, ZERO)
 
 
 def carlitz_beta(n: int, arg: ArgLike = 0) -> BiPoly:
-    """Carlitz degenerate Bernoulli number/polynomial of index n, from its series."""
-    return _read(n, arg, LAM, _carlitz_quotient)
+    """Carlitz degenerate Bernoulli number/polynomial of index n, from the quotient at L."""
+    return _read(n, arg, LAM, carlitz_quotient, LAM)
 
 
 def _daehee_quotient(order: int) -> fps.Series:
-    return fps.series_div(fps.lambda_log(order), _degenerate_expm1(order))
+    return fps.series_div(fps.lambda_log(order), degenerate_expm1(LAM, order))
 
 
 def daehee_type_b(n: int, arg: ArgLike = 0) -> BiPoly:
@@ -167,6 +157,8 @@ def _kaneko_row(k: int, n: int) -> tuple[tuple[int, ...], int]:
     row is put over lcm(1..n+1)^k; for k <= 0 every number is an integer.
     The longest row built serves every smaller n; a longer one is built anew.
     """
+    if n < 0:
+        raise ValueError(f"a row of numbers has no index {n}")
     row = _KANEKO.get(k)
     if row and len(row[0]) > n:
         return row
@@ -217,8 +209,6 @@ def _closed_sum(outer, row, n: int, arg: ArgLike, lam: ArgLike) -> BiPoly:
     ValueError; so is arg, or the sum is built at x and arg substituted.
     Every term goes straight into one numerator dict, normalised once.
     """
-    if n < 0:
-        raise ValueError(f"a closed sum has no index {n}")
     arg, lam = _coerce(arg), _coerce(lam)
     if len(arg._num) > 1:
         return _closed_sum(outer, row, n, X, lam).subst_x(arg)
@@ -354,8 +344,10 @@ def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:
     """
     if k < 2:
         raise ValueError("iterated-integral route needs k >= 2")
+    if n_max < 0:
+        raise ValueError(f"the iterated-integral route has no index {n_max}")
     order = n_max + 2
-    pm1 = _degenerate_expm1(order)
+    pm1 = degenerate_expm1(LAM, order)
     one_plus = fps.Series([ONE, LAM] + [ZERO] * (order - 1))
     kernel = pm1 * one_plus
     g = fps.series_div(fps.lambda_log(order), kernel)

@@ -230,6 +230,8 @@ def longest(build, *key, n: int) -> Series:
     every coefficient up to its order; when it is short, the series built
     at work_order(n) replaces it.
     """
+    if n < 0:
+        raise ValueError(f"a series has no index {n}")
     series = _longest.get((build, *key))
     if series is None or series.order < n:
         series = _longest[(build, *key)] = build(*key, work_order(n))

@@ -1,9 +1,9 @@
 """Classical auxiliary sequences.
 
 Stirling numbers of both kinds (signed first kind, so that (x)_n =
-sum_l S1(n, l) x^l), as tables that ring.grow extends in a loop, Bernoulli
-numbers, those of the second kind b_n = sum_m S1(n, m) / (m + 1) read from
-the S1 rows, generalized falling factorials and the truncated polylogarithm.
+sum_l S1(n, l) x^l), as tables that ring.grow extends in a loop, Carlitz's
+quotient, Bernoulli numbers (read from it at lam = 0) and those of the second
+kind b_n = sum_m S1(n, m)/(m + 1), falling factorials and the polylogarithm.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import fps
-from .ring import ONE, falling_product, grow
+from .ring import ONE, ZERO, BiPoly, falling_product, grow
 
 
 class IndexOutOfRange(Exception):
@@ -52,18 +52,21 @@ def stirling2(n: int, l: int) -> int:
     return grow(_STIRLING2, n, _stirling2_step)[l]
 
 
-def bernoulli_series(order: int) -> fps.Series:
-    """The series t / (e^t - 1), the ordinary form of the Bernoulli EGF."""
-    t = fps.Series.t(order)
-    denom = fps.series_exp(t) - fps.Series.constant(ONE, order)
-    return fps.series_div(t, denom)
+def degenerate_expm1(lam: BiPoly, order: int) -> fps.Series:
+    """The series (1 + lam t)^(1/lam) - 1, which is e^t - 1 at lam = 0."""
+    return fps.degenerate_pow(ONE, order, lam) - fps.Series.constant(ONE, order)
+
+
+def carlitz_quotient(lam: BiPoly, order: int) -> fps.Series:
+    """Carlitz's t / ((1 + lam t)^(1/lam) - 1), which is t / (e^t - 1) at lam = 0."""
+    return fps.series_div(fps.Series.t(order), degenerate_expm1(lam, order))
 
 
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Bernoulli number B_n (B_1 = -1/2 convention), from Carlitz's quotient at 0."""
     if n < 0:
         raise IndexOutOfRange("bernoulli needs n >= 0")
-    return fps.egf_coeff(fps.longest(bernoulli_series, n=n), n).constant()
+    return fps.egf_coeff(fps.longest(carlitz_quotient, ZERO, n=n), n).constant()
 
 
 def bernoulli_second_kind(n: int) -> Fraction:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fdpb import fps
-from fdpb.ring import ONE, BiPoly
+from fdpb.ring import ONE, ZERO, BiPoly
 from fdpb.fps import work_order
-from fdpb.sequences import bernoulli_series
+from fdpb.sequences import carlitz_quotient
 
 
 def _as_arg(arg) -> BiPoly:
@@ -25,7 +25,7 @@ def _as_arg(arg) -> BiPoly:
 
 @lru_cache(maxsize=None)
 def _bernoulli_series(order: int, arg: BiPoly) -> fps.Series:
-    return bernoulli_series(order) * fps.degenerate_pow(arg, order, 0)
+    return carlitz_quotient(ZERO, order) * fps.degenerate_pow(arg, order, 0)
 
 
 @lru_cache(maxsize=None)

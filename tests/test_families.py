@@ -7,14 +7,17 @@ from fdpb.ring import LAM, ONE, X, ZERO, BiPoly
 from fdpb.families import (
     bernoulli_poly,
     carlitz_beta,
+    carlitz_rows,
     carlitz_value,
     classical_poly_bernoulli,
+    daehee_rows,
     daehee_type_b,
     daehee_value,
     fdpb_closed,
     fdpb_gf,
     fdpb_iterated_integral,
     fdpb_poly,
+    fdpb_rows,
     fdpb_value,
     fdpb_x_derivative,
     integral_unit_interval,
@@ -86,12 +89,23 @@ class TestClosedSums:
         with pytest.raises(ValueError, match="single term"):
             value(*args, 0, lam=LAM + 1)
 
-    @pytest.mark.parametrize("lam", (LAM, 0, HALF), ids=("L", "0", "1/2"))
-    @pytest.mark.parametrize("value", (carlitz_value, daehee_value, fdpb_value))
-    def test_negative_index_is_a_value_error(self, value, lam):
-        args = (-1, 2) if value is fdpb_value else (-1,)
-        with pytest.raises(ValueError, match="no index -1"):
-            value(*args, 0, lam)
+    @pytest.mark.parametrize("read, args", [
+        # the closed sums and the table rows, at each lambda: Kaneko's row checks n
+        *(pytest.param(read, (*args, lam), id=f"{read.__name__}-{name}")
+          for read, args in (
+              (carlitz_value, (-1, 0)), (daehee_value, (-1, 0)), (fdpb_value, (-1, 2, 0)),
+              (fdpb_rows, (2, -1)), (daehee_rows, (-1,)), (carlitz_rows, (-1,)))
+          for lam, name in ((LAM, "L"), (0, "0"), (HALF, "1/2"))),
+        # the generating functions: fps.longest checks n
+        *(pytest.param(read, args, id=read.__name__) for read, args in (
+            (carlitz_beta, (-2,)), (bernoulli_poly, (-1,)), (daehee_type_b, (-1,)),
+            (fdpb_gf, (-1, 2)), (classical_poly_bernoulli, (-1, 2)),
+            (fdpb_iterated_integral, (2, -1)))),
+    ])
+    def test_negative_index_is_a_value_error(self, read, args):
+        index = next(a for a in args if isinstance(a, int) and a < 0)
+        with pytest.raises(ValueError, match=f"no index {index}$"):
+            read(*args)
 
     def test_classical_values_build_no_weight_row(self, monkeypatch):
         # at lam = 0 only w_n = 1 is left: no S1 row grows, and Carlitz's
@@ -346,10 +360,15 @@ class TestSeriesMemo:
         assert len(quotients) == 1
 
     def test_bernoulli_numbers_share_the_polynomials_series(self, monkeypatch):
-        # t/(e^t - 1) is the only series here built through series_exp
+        # t/(e^t - 1) is Carlitz's quotient at lam = 0: one counting builder
+        # under both names, so one memo key serves the polynomials and numbers
+        quotients = self.counted(monkeypatch, sequences, "carlitz_quotient")
+        monkeypatch.setattr(families, "carlitz_quotient", sequences.carlitz_quotient)
         exps = self.counted(monkeypatch, fps, "series_exp")
         assert bernoulli_poly(20) == daehee_value(20, X, 0)
-        assert len(exps) == 1
+        assert quotients == [(ZERO, 24)]
         assert bernoulli(5) == 0 and bernoulli(20) == Fraction(-174611, 330)
-        assert len(exps) == 1
+        assert quotients == [(ZERO, 24)]
+        # and no series goes through series_exp
+        assert exps == []
         assert len(fps._longest) == 2  # t/(e^t - 1) and e^(xt)

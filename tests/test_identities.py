@@ -126,24 +126,45 @@ def _perturbed_row(row_of, l, change):
     return perturbed
 
 
+def _perturbed_quotient(build, key, coefficient):
+    """build, with one added to the given coefficient of its series at key."""
+
+    def perturbed(*args):
+        series = build(*args)
+        if args[:-1] != key or series.order < coefficient:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[coefficient] += ONE
+        return Series(coeffs)
+
+    return perturbed
+
+
 @pytest.fixture
 def patch_quotient(monkeypatch):
     """Patch the polylogarithm quotient of families at one lambda, with the
     series memo cleared before the patch and after the test."""
 
     def patch(lam, coefficient, k):
-        original = fam._polylog_over_z
-
-        def perturbed(k_, lam_, order):
-            series = original(k_, lam_, order)
-            if (k_, lam_) != (k, lam) or order < coefficient:
-                return series
-            coeffs = list(series.coeffs)
-            coeffs[coefficient] += ONE
-            return Series(coeffs)
-
         fps._longest.clear()
+        perturbed = _perturbed_quotient(fam._polylog_over_z, (k, lam), coefficient)
         monkeypatch.setattr(fam, "_polylog_over_z", perturbed)
+
+    yield patch
+    fps._longest.clear()
+
+
+@pytest.fixture
+def patch_carlitz(monkeypatch):
+    """Patch Carlitz's quotient at one lambda under both its names, the one
+    sequences builds and the one families reads, with the series memo
+    cleared before the patch and after the test."""
+
+    def patch(lam, coefficient):
+        fps._longest.clear()
+        perturbed = _perturbed_quotient(sequences.carlitz_quotient, (lam,), coefficient)
+        monkeypatch.setattr(sequences, "carlitz_quotient", perturbed)
+        monkeypatch.setattr(fam, "carlitz_quotient", perturbed)
 
     yield patch
     fps._longest.clear()
@@ -197,6 +218,30 @@ class TestPerturbationIsCaught:
         report = check("THM1_LIMIT", n_max=6, k_range=(-2, 0))
         assert not report.passed
         assert (report.counterexample.n, report.counterexample.k) == (4, -1)
+
+    def test_carlitz_quotient_at_zero(self, patch_carlitz):
+        # Carlitz's quotient at lam = 0 is t/(e^t - 1): THM4 compares B_n(x)
+        # with Daehee's closed sum over Kaneko's k = 1 row, EQ14 with the
+        # classical polylogarithm quotient; carlitz_beta, at L, does not move
+        patch_carlitz(ZERO, 3)
+        report = check("THM4_CLOSED", n_max=5, k_range=(1, 1))
+        assert not report.passed
+        ce = report.counterexample
+        assert (ce.n, ce.k) == (3, None)
+        assert ce.rhs == fam.daehee_value(3, X, 0)
+        report = check("EQ14_SHIFT", n_max=5, k_range=(1, 1))
+        assert not report.passed
+        assert (report.counterexample.n, report.counterexample.k) == (3, 1)
+
+    def test_carlitz_quotient_at_l(self, patch_carlitz):
+        # at L the same builder serves carlitz_beta alone, which THM4
+        # compares with the closed sum over Carlitz's weight row
+        patch_carlitz(LAM, 3)
+        report = check("THM4_CLOSED", n_max=5, k_range=(1, 1))
+        assert not report.passed
+        ce = report.counterexample
+        assert (ce.n, ce.k) == (3, None)
+        assert ce.rhs == fam.carlitz_value(3, X)
 
     def test_poly_bernoulli_value(self, monkeypatch):
         # THM4 compares the classical closed sum, fdpb's at lam = 0, with its
