@@ -8,14 +8,16 @@ Three subcommands:
 
 All output is exact; no floating point anywhere.  Output is
 byte-deterministic for fixed flags.  Each family has two readers in
-``FAMILIES``: ``poly`` reads its closed sum at one n, and ``table`` its
-rows 0..n_max in one sweep (the Stirling transform at a rational lambda).
-Neither reads a generating function or a memo (the fdpb memos hold
-values at L only, for the identity checks).  A rational ``--lambda`` is
-handed to both, so they compute at that value from the start.  The
-classical families are read as degenerate ones at lambda = 0: ``bernoulli``
-as ``daehee`` and ``polybernoulli`` as ``fdpb``, whatever ``--lambda``
-says; a record's ``lambda`` field echoes the option as given.
+``FAMILIES``: ``table`` reads its rows 0..n_max in one sweep (the Stirling
+transform at a rational lambda), and ``poly`` its polynomial at one n, as
+one Horner sweep over the integer numerators of that row at a nonzero
+rational lambda and as its closed sum at L and at 0.  Neither reads a
+generating function or a memo (the fdpb memos hold values at L only, for
+the identity checks).  A rational ``--lambda`` is handed to both, so they
+compute at that value from the start.  The classical families are read as
+degenerate ones at lambda = 0: ``bernoulli`` as ``daehee`` and
+``polybernoulli`` as ``fdpb``, whatever ``--lambda`` says; a record's
+``lambda`` field echoes the option as given.
 
 Options are read against one table, ``OPTIONS``, which also renders
 ``-h``/``--help``.  Only exact option names are accepted, as
@@ -39,18 +41,36 @@ from .ring import LAM, BiPoly, X, canonical_string
 
 USAGE_ERROR = 2
 
-# family -> (whether it takes --k, its polynomial at (n, k, lam) from its
-# closed sum, its rows 0..n_max at (k, n_max, lam) in one sweep)
+
+def _sheffer(value, numbers):
+    """The polynomial reader of a degenerate family at (n, k, lam).
+
+    At a nonzero rational lam it is one Horner sweep over the numerators of
+    the family's row, numbers(k, n, lam) (``families.falling_poly``).  At L,
+    where each step of that sweep would multiply polynomials in L, and at 0,
+    where one term per power of x is left, it is the closed sum value(n, k, lam).
+    """
+    def read(n, k, lam):
+        if lam is LAM or not lam:
+            return value(n, k, lam)
+        return fam.falling_poly(numbers(k, n, lam), lam)
+    return read
+
+
+# family -> (whether it takes --k, its polynomial at (n, k, lam), its rows
+# 0..n_max at (k, n_max, lam) in one sweep)
 FAMILIES = {
     "bernoulli": (False, lambda n, k, lam: fam.daehee_value(n, X, 0),
                   lambda k, n_max, lam: fam.daehee_rows(n_max, 0)),
-    "carlitz": (False, lambda n, k, lam: fam.carlitz_value(n, X, lam),
+    "carlitz": (False, _sheffer(lambda n, k, lam: fam.carlitz_value(n, X, lam),
+                                lambda k, n, lam: fam.carlitz_numbers(n, lam)),
                 lambda k, n_max, lam: fam.carlitz_rows(n_max, lam)),
-    "daehee": (False, lambda n, k, lam: fam.daehee_value(n, X, lam),
+    "daehee": (False, _sheffer(lambda n, k, lam: fam.daehee_value(n, X, lam),
+                               lambda k, n, lam: fam.daehee_numbers(n, lam)),
                lambda k, n_max, lam: fam.daehee_rows(n_max, lam)),
     "polybernoulli": (True, lambda n, k, lam: fam.fdpb_value(n, k, X, 0),
                       lambda k, n_max, lam: fam.fdpb_rows(k, n_max, 0)),
-    "fdpb": (True, lambda n, k, lam: fam.fdpb_value(n, k, X, lam),
+    "fdpb": (True, _sheffer(lambda n, k, lam: fam.fdpb_value(n, k, X, lam), fam.fdpb_numbers),
              lambda k, n_max, lam: fam.fdpb_rows(k, n_max, lam)),
 }
 

@@ -9,9 +9,9 @@ routes so the test suite can cross-check them:
 * classical poly-Bernoulli        Li_k(1-e^{-t})/(1-e^{-t}) e^{xt}
 * fully degenerate poly-Bernoulli Li_k(1-(1+Lt)^{-1/L})/(1-(1+Lt)^{-1/L}) (1+Lt)^{x/L}
 
-Number values are the x = 0 case.  The ``*_value`` routes, which the CLI's
-``poly`` reads, make each family at any lambda and argument from one
-closed sum over integers (:func:`_closed_sum`),
+Number values are the x = 0 case.  The ``*_value`` routes make each family
+at any lambda and argument from one closed sum over integers
+(:func:`_closed_sum`),
 
     sum_m w_m lam^(n-m) sum_l C(m, l) b_l x^(m-l),
 
@@ -33,6 +33,13 @@ row of numbers c: at a rational lam every row comes from one
 falling-factorial recurrence in integers (:func:`_stirling_transform`),
 with no S1 row, and at L each row is one product per coefficient.
 
+The CLI's ``poly`` reads the closed sum at L and at 0.  At a nonzero
+rational lam = p/q it reads the same row of numbers, as integer numerators
+over D q^n (:func:`fdpb_numbers`, :func:`daehee_numbers`,
+:func:`carlitz_numbers`), and makes the polynomial sum_i C(n, i)
+beta_(n-i) (x|lam)_i by one Horner sweep in integers (:func:`falling_poly`).
+The closed sum stays that polynomial's second route.
+
 The generating functions stay available as the oracles.  Each is an
 argument-free quotient q(t) times an argument series A(t) = (1+Lt)^{arg/L},
 which is e^{arg t} at L = 0.  Three quotient builders serve the five families:
@@ -51,7 +58,7 @@ from math import comb, factorial, lcm
 
 from . import fps
 from .ring import (
-    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _term_powers, falling_product,
+    LAM, ONE, X, ZERO, BiPoly, RatLike, _coerce, _key, _term_powers, falling_product,
     grow, sum_of_products,
 )
 from .sequences import bernoulli_second_kind, carlitz_quotient, degenerate_expm1, stirling1_row
@@ -260,42 +267,54 @@ def daehee_value(n: int, arg: ArgLike = 0, lam: ArgLike = LAM) -> BiPoly:
 
 
 def _stirling_transform(nums, p: int, q: int) -> list[int]:
-    """U_n(0) for n < len(nums), where U_0 = nums and
-    U_n(j) = q U_(n-1)(j+1) - (n-1) p U_(n-1)(j).
+    """U_n(0) for n < len(nums), where U_0(j) = nums[j] q^j and
+    U_n(j) = U_(n-1)(j+1) - (n-1) p U_(n-1)(j).
 
     This is the falling-factorial recurrence T_n(j) = T_(n-1)(j+1) -
     (n-1) lam T_(n-1)(j), T_0(j) = c_j, whose T_n(0) is the Stirling
     transform sum_m S1(n, m) lam^(n-m) c_m (Bernstein & Sloane, "Some
     canonical sequences of integers", Linear Algebra Appl. 226-228, 1995;
     Comtet, Advanced Combinatorics, 1974, ch. 5), put in integers for
-    lam = p/q and c_j = nums[j] / D: U_n(j) = D q^n T_n(j).  Each step is
-    one shrinking list of small multiples, with no S1 row.  At p = 0 the
-    only weight is S1(n, n) = 1, and the rows are the numbers themselves.
+    lam = p/q and c_j = nums[j] / D: U_n(j) = D q^(n+j) T_n(j), so row n
+    is U_n(0) / (D q^n).  Each step is one shrinking list of small
+    multiples, with no S1 row and no multiple of q.  At p = 0 the only
+    weight is S1(n, n) = 1, and the rows are the numbers themselves.
     """
     if not p:
         return list(nums)
-    u, rows = list(nums), []
+    u, rows = [c * q**j for j, c in enumerate(nums)], []
     for n in range(len(u)):
         rows.append(u[0])
-        u = [q * a - n * p * b for a, b in zip(u[1:], u)]
+        pn = n * p
+        u = [a - pn * b for a, b in zip(u[1:], u)]
     return rows
+
+
+def _transform_numbers(row, n_max: int, lam: RatLike) -> tuple[list[int], int]:
+    """The Stirling transform of row = (nums, den) at lam = p/q, n = 0..n_max,
+    as integer numerators U_n over den: row n is U_n / (den q^n)."""
+    nums, den = row
+    return _stirling_transform(nums[: n_max + 1], lam.numerator, lam.denominator), den
+
+
+def _constant_rows(numbers: tuple[list[int], int], lam: RatLike) -> list[BiPoly]:
+    """The rows U_n / (den q^n) at lam = p/q, from numbers = (U, den)."""
+    u, den = numbers
+    return [BiPoly._make({0: a}, den * lam.denominator**n) for n, a in enumerate(u)]
 
 
 def _transform_rows(row, n_max: int, lam: ArgLike) -> list[BiPoly]:
     """sum_m S1(n, m) lam^(n-m) c_m for n = 0..n_max, where row = (nums, den)
     and c_m = nums[m] / den.
 
-    At a rational lam = p/q, row n is U_n(0) / (den q^n) by
-    :func:`_stirling_transform`.  At a single term such as L, each row
-    coefficient is one product, read against one power table for the
-    whole table, S1(n, m) lam^(n-m) c_m.
+    At a rational lam, row n is read from :func:`_transform_numbers`.  At a
+    single term such as L, each row coefficient is one product, read against
+    one power table for the whole table, S1(n, m) lam^(n-m) c_m.
     """
-    nums, den = row
     lam = _coerce(lam)
     if lam.is_constant():
-        lam = lam.constant()
-        u = _stirling_transform(nums[: n_max + 1], lam.numerator, lam.denominator)
-        return [BiPoly._make({0: a}, den * lam.denominator**n) for n, a in enumerate(u)]
+        return _constant_rows(_transform_numbers(row, n_max, lam.constant()), lam.constant())
+    nums, den = row
     keys, scale, lam_den = _term_powers(lam, n_max)
     return [
         BiPoly._make(
@@ -312,27 +331,88 @@ def fdpb_rows(k: int, n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
     return _transform_rows(_kaneko_row(k, n_max), n_max, lam)
 
 
+def fdpb_numbers(k: int, n_max: int, lam: RatLike) -> tuple[list[int], int]:
+    """The numbers of :func:`fdpb_rows` at a rational lam = p/q, as numerators
+    U_n over one den: beta_n^(k) = U_n / (den q^n)."""
+    return _transform_numbers(_kaneko_row(k, n_max), n_max, lam)
+
+
 def daehee_rows(n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
     """The Daehee-type numbers at lam, n = 0..n_max, in one sweep; at lam = 0
     they are the Bernoulli numbers."""
     return _transform_rows(_bernoulli_row(n_max), n_max, lam)
 
 
-def carlitz_rows(n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
-    """Carlitz's numbers at lam, n = 0..n_max, in one sweep.
+def daehee_numbers(n_max: int, lam: RatLike) -> tuple[list[int], int]:
+    """The numbers of :func:`daehee_rows` at a rational lam = p/q, as numerators
+    U_n over one den: row n is U_n / (den q^n)."""
+    return _transform_numbers(_bernoulli_row(n_max), n_max, lam)
+
+
+def _carlitz_parts(n_max: int) -> tuple[list[int], list[int], int, int]:
+    """The two rows that Carlitz's numbers are made of, n = 0..n_max.
 
     Row n is lam^n b_n + n T_(n-1), from the weights of :func:`_carlitz_row`:
     T is the Stirling transform of c_m = B_(m+1)/(m+1) at lam, and b_n, the
-    Bernoulli number of the second kind, that of 1/(m+1) at lam = 1.
+    Bernoulli number of the second kind, that of 1/(m+1) at lam = 1.  Over
+    top = lcm(1..n_max+1) and the Bernoulli numbers' D, they are the
+    numerators top b_n and D top c_m: (second, inner, D, top).
     """
     nums, den = _bernoulli_row(n_max)
     top = lcm(*range(1, n_max + 2))
     second = _stirling_transform([top // (m + 1) for m in range(n_max + 1)], 1, 1)
-    inner = [nums[m + 1] * (top // (m + 1)) for m in range(n_max)]
+    return second, [nums[m + 1] * (top // (m + 1)) for m in range(n_max)], den, top
+
+
+def carlitz_numbers(n_max: int, lam: RatLike) -> tuple[list[int], int]:
+    """Carlitz's numbers at a rational lam = p/q, n = 0..n_max, as numerators
+    V_n over D top: beta_n = V_n / (D top q^n).
+
+    With U the numerators of T, over D top, row n of :func:`_carlitz_parts`
+    is D top q^n beta_n = D p^n (top b_n) + n q U_(n-1).
+    """
+    second, inner, den, top = _carlitz_parts(n_max)
+    p, q = lam.numerator, lam.denominator
+    u = [0] + _stirling_transform(inner, p, q)
+    return [den * p**n * b + n * q * a for n, (b, a) in enumerate(zip(second, u))], den * top
+
+
+def carlitz_rows(n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
+    """Carlitz's numbers at lam, n = 0..n_max, in one sweep: at a rational lam
+    from :func:`carlitz_numbers`, at a single term such as L as lam^n b_n +
+    n T_(n-1) (:func:`_carlitz_parts`)."""
+    lam = _coerce(lam)
+    if lam.is_constant():
+        return _constant_rows(carlitz_numbers(n_max, lam.constant()), lam.constant())
+    second, inner, den, top = _carlitz_parts(n_max)
     tail = [ZERO] + _transform_rows((inner, den * top), n_max - 1, lam)
     keys, scale, lam_den = _term_powers(lam, n_max)
     return [BiPoly._make({keys[n]: scale[n] * second[n]}, top * lam_den) + tail[n] * n
             for n in range(n_max + 1)]
+
+
+def falling_poly(numbers: tuple[list[int], int], lam: RatLike) -> BiPoly:
+    """sum_i C(n, i) beta_(n-i) (x|lam)_i, the degree-n polynomial of a family
+    whose numbers at a rational lam = p/q are numbers = (U_0 .. U_n, D), with
+    beta_j = U_j / (D q^j).
+
+    Each family is an argument-free quotient times (1 + lam t)^(x/lam), so
+    its polynomial has this falling-factorial (Sheffer) form (Roman, The
+    Umbral Calculus, 1984, ch. 2).  Horner's rule in integers, Q_n = U_0 and
+    Q_i = C(n, i) U_(n-i) + (q x - i p) Q_(i+1), gives Q_0 = D q^n beta_n(x):
+    n steps, each one list of integer coefficients, with no S1 row.  The
+    sweep runs in y = q x, where each step multiplies by y - i p alone, and
+    the coefficient of y^j becomes that of x^j times q^j at the end.
+    """
+    u, den = numbers
+    p, q = lam.numerator, lam.denominator
+    n = len(u) - 1
+    acc = [u[0]]
+    for i in range(n - 1, -1, -1):
+        ip = i * p
+        acc = [a - ip * b for a, b in zip([0, *acc], [*acc, 0])]
+        acc[0] += comb(n, i) * u[n - i]
+    return BiPoly._make({_key(0, j): c * q**j for j, c in enumerate(acc)}, den * q**n)
 
 
 def fdpb_iterated_integral(k: int, n_max: int) -> fps.Series:
@@ -383,6 +463,8 @@ def integral_unit_interval(n: int, k: int) -> BiPoly:
     sum_l C(n, l) beta_(n-l) int_0^1 (x|L)_l dx, where each integral of a
     falling factorial is a sum over Bernoulli numbers of the second kind.
     """
+    if n < 0:
+        raise ValueError(f"the unit-interval integral has no index {n}")
     return sum_of_products(
         (_falling_integral(l), fdpb_closed(n - l, k) * comb(n, l)) for l in range(n + 1)
     )

@@ -15,8 +15,8 @@ from . import fps
 from .ring import ONE, ZERO, BiPoly, falling_product, grow
 
 
-class IndexOutOfRange(Exception):
-    pass
+class IndexOutOfRange(ValueError):
+    """An index outside a sequence's domain, such as n < 0."""
 
 
 _STIRLING1: list[tuple[int, ...]] = [(1,)]

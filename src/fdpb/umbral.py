@@ -112,6 +112,8 @@ def sheffer_expand(p: BiPoly, k: int) -> BasisExpansion:
 def eq60_connection(n: int, k: int) -> BiPoly:
     """Assemble sum_m L^{n-m} S2(n, m) beta_m(x); equals the classical
     poly-Bernoulli polynomial, with every L cancelling."""
+    if n < 0:
+        raise ValueError(f"the EQ60 connection has no index {n}")
     return sum_of_products(
         (BiPoly({(n - m, 0): stirling2(n, m)}), fdpb_poly(m, k)) for m in range(n + 1)
     )

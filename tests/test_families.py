@@ -101,6 +101,9 @@ class TestClosedSums:
             (carlitz_beta, (-2,)), (bernoulli_poly, (-1,)), (daehee_type_b, (-1,)),
             (fdpb_gf, (-1, 2)), (classical_poly_bernoulli, (-1, 2)),
             (fdpb_iterated_integral, (2, -1)))),
+        # the right sides of THM8 and EQ60, sums over range(n + 1)
+        *(pytest.param(read, (-1, 2), id=read.__name__)
+          for read in (integral_unit_interval, umbral.eq60_connection)),
     ])
     def test_negative_index_is_a_value_error(self, read, args):
         index = next(a for a in args if isinstance(a, int) and a < 0)

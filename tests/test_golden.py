@@ -23,7 +23,11 @@ each polynomial, before that cell was dropped.  The four tables at
 lambda = -2/3, -1/2 and 1/2 before the verify commands were captured while
 ``table`` read each row from its own closed sum, before the rows of every
 family were read in one sweep (the Stirling transform at a rational lambda).
-Changes to the arithmetic core must leave every byte as it is.
+The six ``poly`` commands at lambda = -2/3 and 5/3 before the verify
+commands were captured while ``poly`` read the closed sum at every lambda,
+before it read one Horner sweep over the family's row at a nonzero
+rational lambda.  Changes to the arithmetic core must leave every byte as
+it is.
 """
 
 import json
@@ -123,6 +127,19 @@ def _commands() -> list[tuple[str, ...]]:
         ("table", "--family", "polybernoulli", "--k", "2", "--n-max", "30", "--lambda=-1/2",
          "--format", "json"),
         ("table", "--family", "fdpb", "--k", "-3", "--n-max", "0", "--lambda=1/2"),
+    ]
+    # polynomials at a rational lambda with p != +-1 and q != 1, and carlitz's
+    # first two, captured while poly read the closed sum at every lambda,
+    # before it read one Horner sweep over the family's row
+    out += [
+        ("poly", "--family", "fdpb", "--k", "-2", "--n", "60", "--lambda=-2/3",
+         "--format", "json"),
+        ("poly", "--family", "fdpb", "--k", "2", "--n", "60", "--lambda=-2/3",
+         "--format", "json"),
+        ("poly", "--family", "daehee", "--n", "40", "--lambda=5/3"),
+        ("poly", "--family", "carlitz", "--n", "40", "--lambda=-2/3", "--format", "csv"),
+        ("poly", "--family", "carlitz", "--n", "0", "--lambda=-2/3"),
+        ("poly", "--family", "carlitz", "--n", "1", "--lambda=-2/3"),
     ]
     out.append(("verify", "--suite", "all", "--n-max", "6", "--format", "json"))
     out.append(("verify", "--suite", "all", "--n-max", "12", "--k-min", "-2", "--k-max", "4",

@@ -1,10 +1,11 @@
 """The closed sums at a rational lambda against the series in L evaluated there.
 
-The CLI reads every family from its closed sum, which takes ``lam``, the
-symbol L or a rational, and at a rational computes in Q[x] from the start.
-Each value must be the one the family's generating function gives in
-Q[L, x] after ``eval_at(lam=r)``: two independent routes.  The CLI must
-reach it without substituting, and without building any series at all.
+Each family's closed sum takes ``lam``, the symbol L or a rational, and at
+a rational computes in Q[x] from the start.  Each value must be the one the
+family's generating function gives in Q[L, x] after ``eval_at(lam=r)``: two
+independent routes.  The CLI, which reads the closed sums and the rows of
+numbers, must reach its values without substituting, and without building
+any series at all.
 """
 
 from fractions import Fraction

@@ -123,6 +123,18 @@ class TestBernoulli:
             bernoulli(-1)
 
 
+@pytest.mark.parametrize("read, args", [
+    pytest.param(read, args, id=read.__name__) for read, args in (
+        (bernoulli, (-1,)), (bernoulli_second_kind, (-1,)), (stirling1, (-1, 0)),
+        (stirling2, (3, 5)))
+])
+def test_index_out_of_range_is_a_value_error(read, args):
+    # a caller that catches ValueError for a bad index, as for every family
+    # reader, catches these too
+    with pytest.raises(ValueError, match="needs"):
+        read(*args)
+
+
 class TestGenFalling:
     def test_two_factors(self):
         assert gen_falling(X, 2) == X * X - LAM * X

@@ -4,10 +4,12 @@
 of ``cli.FAMILIES``).  At a rational lambda the degenerate families run
 the Stirling transform, a falling-factorial recurrence in integers with no
 S1 row; at L each row is one product per coefficient against one power
-table.  Every row must equal the family's closed sum at that n (the
-constant term in x of what ``poly`` prints), and the
-transform rows must equal the family's generating function in L
+table.  Every row must equal the family's closed sum at that n and x = 0,
+and the transform rows must equal the family's generating function in L
 evaluated at lambda, a route that shares only the ring with them.
+
+``poly`` reads the same rows at a nonzero rational lambda, by one Horner
+sweep over their numerators; its polynomial must equal the closed sum at x.
 """
 
 from fractions import Fraction
@@ -17,13 +19,24 @@ import pytest
 from fdpb import families as fam
 from fdpb import sequences
 from fdpb.cli import FAMILIES
-from fdpb.ring import LAM, falling_product
+from fdpb.ring import LAM, X, falling_product
 
 LAMBDAS = (LAM, 0, Fraction(1, 2), Fraction(-2, 3), 3)
 RATIONALS = LAMBDAS[1:]
 KS = range(-3, 4)
 N_MAX = 60
 N_SERIES = 24
+
+
+# each family's closed sum at (n, k, arg, lam), the route the CLI's readers
+# are checked against; the classical families at lambda = 0
+CLOSED = {
+    "bernoulli": lambda n, k, arg, lam: fam.daehee_value(n, arg, 0),
+    "carlitz": lambda n, k, arg, lam: fam.carlitz_value(n, arg, lam),
+    "daehee": lambda n, k, arg, lam: fam.daehee_value(n, arg, lam),
+    "polybernoulli": lambda n, k, arg, lam: fam.fdpb_value(n, k, arg, 0),
+    "fdpb": lambda n, k, arg, lam: fam.fdpb_value(n, k, arg, lam),
+}
 
 
 def _lam_id(lam) -> str:
@@ -33,13 +46,24 @@ def _lam_id(lam) -> str:
 @pytest.mark.parametrize("lam", LAMBDAS, ids=_lam_id)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_row_equals_the_closed_sum(family, lam):
-    takes_k, value, rows = FAMILIES[family]
+    takes_k, _, rows = FAMILIES[family]
     for k in KS if takes_k else (None,):
         for n_max in (N_MAX, 0, 7):
             table = rows(k, n_max, lam)
             assert len(table) == n_max + 1, (k, n_max)
             for n, row in enumerate(table):
-                assert row == value(n, k, lam).x_coeff(0), (k, n_max, n)
+                assert row == CLOSED[family](n, k, 0, lam), (k, n_max, n)
+
+
+@pytest.mark.parametrize("lam", (Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(5, 3)),
+                         ids=str)
+@pytest.mark.parametrize("family", ("carlitz", "daehee", "fdpb"))
+def test_rational_poly_equals_the_closed_sum(family, lam):
+    # poly's Horner sweep over the row against the closed sum at x
+    takes_k, poly, _ = FAMILIES[family]
+    for k in KS if takes_k else (None,):
+        for n in range(N_MAX + 1):
+            assert poly(n, k, lam) == CLOSED[family](n, k, X, lam), (k, n)
 
 
 @pytest.mark.parametrize("lam", RATIONALS, ids=str)
@@ -74,5 +98,18 @@ def test_rational_tables_build_no_stirling_row():
         fam.daehee_rows(120, r)
         fam.carlitz_rows(120, r)
         assert len(rows) == 1, "a table at a rational lambda read S1 rows"
+    finally:
+        rows[:] = saved
+
+
+def test_rational_polynomials_build_no_stirling_row():
+    rows = sequences._STIRLING1
+    saved = list(rows)
+    del rows[1:]
+    try:
+        r = Fraction(-2, 3)
+        for family in ("carlitz", "daehee", "fdpb"):
+            FAMILIES[family][1](120, 2, r)
+        assert len(rows) == 1, "a polynomial at a rational lambda read S1 rows"
     finally:
         rows[:] = saved
