@@ -7,17 +7,17 @@ Three subcommands:
 * ``verify`` — run the identity suite, exit 0 iff everything passes
 
 All output is exact; no floating point anywhere.  Output is
-byte-deterministic for fixed flags.  Each family has two readers in
-``FAMILIES``: ``table`` reads its rows 0..n_max in one sweep (the Stirling
-transform at a rational lambda), and ``poly`` its polynomial at one n, as
-one Horner sweep over the integer numerators of that row at a nonzero
-rational lambda and as its closed sum at L and at 0.  Neither reads a
+byte-deterministic for fixed flags.  ``polynomial`` and ``table_rows``
+each read a family in one of two forms, by the form of lambda.  At the
+symbol L, ``poly`` reads its closed sum and ``table`` its rows in L.  At a
+constant lambda, 0 included, both read its row of numbers once, as integer
+numerators, and ``poly`` makes one Horner sweep over it.  Neither reads a
 generating function or a memo (the fdpb memos hold values at L only, for
-the identity checks).  A rational ``--lambda`` is handed to both, so they
-compute at that value from the start.  The classical families are read as
-degenerate ones at lambda = 0: ``bernoulli`` as ``daehee`` and
-``polybernoulli`` as ``fdpb``, whatever ``--lambda`` says; a record's
-``lambda`` field echoes the option as given.
+the identity checks), and at a rational ``--lambda`` they compute at that
+value from the start.  The classical families are read as degenerate
+ones at lambda = 0: ``bernoulli`` as ``daehee`` and ``polybernoulli`` as
+``fdpb``, whatever ``--lambda`` says; a record's ``lambda`` field echoes
+the option as given.
 
 Options are read against one table, ``OPTIONS``, which also renders
 ``-h``/``--help``.  Only exact option names are accepted, as
@@ -42,37 +42,41 @@ from .ring import LAM, BiPoly, X, canonical_string
 USAGE_ERROR = 2
 
 
-def _sheffer(value, numbers):
-    """The polynomial reader of a degenerate family at (n, k, lam).
-
-    At a nonzero rational lam it is one Horner sweep over the numerators of
-    the family's row, numbers(k, n, lam) (``families.falling_poly``).  At L,
-    where each step of that sweep would multiply polynomials in L, and at 0,
-    where one term per power of x is left, it is the closed sum value(n, k, lam).
-    """
-    def read(n, k, lam):
-        if lam is LAM or not lam:
-            return value(n, k, lam)
-        return fam.falling_poly(numbers(k, n, lam), lam)
-    return read
-
-
-# family -> (whether it takes --k, its polynomial at (n, k, lam), its rows
-# 0..n_max at (k, n_max, lam) in one sweep)
+# family -> (whether it takes --k, its readers, the lambda it is read at:
+# 0 for a classical family, None for the one given).  A degenerate family's
+# readers are its polynomial at (n, k) and its rows 0..n_max at (k, n_max),
+# both in L, and its numbers 0..n_max at (k, n_max, lam) as integer
+# numerators, which both commands read at a constant lam
+_FDPB = (lambda n, k: fam.fdpb_value(n, k, X), fam.fdpb_rows, fam.fdpb_numbers)
+_DAEHEE = (lambda n, k: fam.daehee_value(n, X), lambda k, n: fam.daehee_rows(n),
+           lambda k, n, lam: fam.daehee_numbers(n, lam))
+_CARLITZ = (lambda n, k: fam.carlitz_value(n, X), lambda k, n: fam.carlitz_rows(n),
+            lambda k, n, lam: fam.carlitz_numbers(n, lam))
 FAMILIES = {
-    "bernoulli": (False, lambda n, k, lam: fam.daehee_value(n, X, 0),
-                  lambda k, n_max, lam: fam.daehee_rows(n_max, 0)),
-    "carlitz": (False, _sheffer(lambda n, k, lam: fam.carlitz_value(n, X, lam),
-                                lambda k, n, lam: fam.carlitz_numbers(n, lam)),
-                lambda k, n_max, lam: fam.carlitz_rows(n_max, lam)),
-    "daehee": (False, _sheffer(lambda n, k, lam: fam.daehee_value(n, X, lam),
-                               lambda k, n, lam: fam.daehee_numbers(n, lam)),
-               lambda k, n_max, lam: fam.daehee_rows(n_max, lam)),
-    "polybernoulli": (True, lambda n, k, lam: fam.fdpb_value(n, k, X, 0),
-                      lambda k, n_max, lam: fam.fdpb_rows(k, n_max, 0)),
-    "fdpb": (True, _sheffer(lambda n, k, lam: fam.fdpb_value(n, k, X, lam), fam.fdpb_numbers),
-             lambda k, n_max, lam: fam.fdpb_rows(k, n_max, lam)),
+    "bernoulli": (False, _DAEHEE, 0),
+    "carlitz": (False, _CARLITZ, None),
+    "daehee": (False, _DAEHEE, None),
+    "polybernoulli": (True, _FDPB, 0),
+    "fdpb": (True, _FDPB, None),
 }
+
+
+def polynomial(family: str, n: int, k: Optional[int], lam: BiPoly | Fraction) -> BiPoly:
+    """The polynomial of index n: its closed sum at L, and at a constant lam
+    one Horner sweep over its numbers (``families.falling_poly``)."""
+    _, (value, _, numbers), at = FAMILIES[family]
+    lam = lam if at is None else at
+    return value(n, k) if lam is LAM else fam.falling_poly(numbers(k, n, lam), lam)
+
+
+def table_rows(
+    family: str, k: Optional[int], n_max: int, lam: BiPoly | Fraction
+) -> list[BiPoly]:
+    """The numbers of index 0..n_max in one sweep: its rows in L at L, and at
+    a constant lam its numbers over their denominators."""
+    _, (_, rows, numbers), at = FAMILIES[family]
+    lam = lam if at is None else at
+    return rows(k, n_max) if lam is LAM else fam.constant_rows(numbers(k, n_max, lam), lam)
 
 
 class UsageError(Exception):
@@ -122,7 +126,7 @@ def _json_text(obj) -> str:
 def _table_text(args: SimpleNamespace) -> str:
     mode = _lambda_mode(args)
     # every row from one reader, which builds the row of numbers once
-    values = FAMILIES[args.family][2](args.k, args.n_max, _lam(args))
+    values = table_rows(args.family, args.k, args.n_max, _lam(args))
     rows = [
         _record(args.family, n, args.k, mode, canonical_string(value))
         for n, value in enumerate(values)
@@ -142,7 +146,7 @@ def cmd_table(args: SimpleNamespace) -> int:
 
 
 def _poly_text(args: SimpleNamespace) -> str:
-    rendered = canonical_string(FAMILIES[args.family][1](args.n, args.k, _lam(args)))
+    rendered = canonical_string(polynomial(args.family, args.n, args.k, _lam(args)))
     if args.format == "json":
         return _json_text(_record(args.family, args.n, args.k, _lambda_mode(args), rendered))
     if args.format == "csv":

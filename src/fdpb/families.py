@@ -26,19 +26,18 @@ is its degenerate family at lam = 0, where only w_n = 1 is left and no row
 is built.  The identity checks re-read fdpb at L, so that alone is
 memoised: :func:`fdpb_closed` and :func:`fdpb_poly`.
 
-A table's numbers n = 0..N are read in one sweep, by :func:`fdpb_rows`,
-:func:`daehee_rows` and :func:`carlitz_rows`, at lam = 0 the classical
-ones.  Each is a Stirling transform sum_m S1(n, m) lam^(n-m) c_m of one
-row of numbers c: at a rational lam every row comes from one
-falling-factorial recurrence in integers (:func:`_stirling_transform`),
-with no S1 row, and at L each row is one product per coefficient.
-
-The CLI's ``poly`` reads the closed sum at L and at 0.  At a nonzero
-rational lam = p/q it reads the same row of numbers, as integer numerators
-over D q^n (:func:`fdpb_numbers`, :func:`daehee_numbers`,
-:func:`carlitz_numbers`), and makes the polynomial sum_i C(n, i)
-beta_(n-i) (x|lam)_i by one Horner sweep in integers (:func:`falling_poly`).
-The closed sum stays that polynomial's second route.
+A family's numbers n = 0..N are a Stirling transform sum_m S1(n, m)
+lam^(n-m) c_m of one row of numbers c, read in one sweep in one of two
+forms.  At L, :func:`fdpb_rows`, :func:`daehee_rows` and
+:func:`carlitz_rows` make each row one product per coefficient.  At every
+constant lam = p/q, 0 included, :func:`fdpb_numbers`,
+:func:`daehee_numbers` and :func:`carlitz_numbers` give the row as integer
+numerators over D q^n, from one falling-factorial recurrence in integers
+(:func:`_stirling_transform`) with no S1 row; at 0 they are the classical
+numbers.  From them :func:`constant_rows` makes the table, and
+:func:`falling_poly` the polynomial sum_i C(n, i) beta_(n-i) (x|lam)_i, by
+one Horner sweep in integers.  The closed sums stay the second route of
+both at every constant lam.
 
 The generating functions stay available as the oracles.  Each is an
 argument-free quotient q(t) times an argument series A(t) = (1+Lt)^{arg/L},
@@ -290,128 +289,116 @@ def _stirling_transform(nums, p: int, q: int) -> list[int]:
     return rows
 
 
-def _transform_numbers(row, n_max: int, lam: RatLike) -> tuple[list[int], int]:
-    """The Stirling transform of row = (nums, den) at lam = p/q, n = 0..n_max,
-    as integer numerators U_n over den: row n is U_n / (den q^n)."""
-    nums, den = row
-    return _stirling_transform(nums[: n_max + 1], lam.numerator, lam.denominator), den
-
-
-def _constant_rows(numbers: tuple[list[int], int], lam: RatLike) -> list[BiPoly]:
-    """The rows U_n / (den q^n) at lam = p/q, from numbers = (U, den)."""
+def constant_rows(numbers: tuple[list[int], int], lam: RatLike) -> list[BiPoly]:
+    """The rows U_n / (den q^n) at a constant lam = p/q, from numbers = (U, den)."""
     u, den = numbers
     return [BiPoly._make({0: a}, den * lam.denominator**n) for n, a in enumerate(u)]
 
 
-def _transform_rows(row, n_max: int, lam: ArgLike) -> list[BiPoly]:
-    """sum_m S1(n, m) lam^(n-m) c_m for n = 0..n_max, where row = (nums, den)
-    and c_m = nums[m] / den.
-
-    At a rational lam, row n is read from :func:`_transform_numbers`.  At a
-    single term such as L, each row coefficient is one product, read against
-    one power table for the whole table, S1(n, m) lam^(n-m) c_m.
-    """
-    lam = _coerce(lam)
-    if lam.is_constant():
-        return _constant_rows(_transform_numbers(row, n_max, lam.constant()), lam.constant())
+def _transform_rows(row, n_max: int) -> list[BiPoly]:
+    """sum_m S1(n, m) L^(n-m) c_m for n = 0..n_max, where row = (nums, den)
+    and c_m = nums[m] / den: each row coefficient is one product, keyed by
+    the power of L alone (the key of L^j is j)."""
     nums, den = row
-    keys, scale, lam_den = _term_powers(lam, n_max)
-    return [
-        BiPoly._make(
-            {keys[n - m]: s * scale[n - m] * nums[m] for m, s in enumerate(stirling1_row(n))},
-            den * lam_den,
-        )
-        for n in range(n_max + 1)
-    ]
+    return [BiPoly._make({n - m: s * nums[m] for m, s in enumerate(stirling1_row(n))}, den)
+            for n in range(n_max + 1)]
 
 
-def fdpb_rows(k: int, n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
-    """The numbers beta_0^(k) .. beta_(n_max)^(k) at lam, in one sweep; at lam = 0
-    they are Kaneko's numbers."""
-    return _transform_rows(_kaneko_row(k, n_max), n_max, lam)
+def fdpb_rows(k: int, n_max: int) -> list[BiPoly]:
+    """The numbers beta_0^(k) .. beta_(n_max)^(k) in L, in one sweep."""
+    return _transform_rows(_kaneko_row(k, n_max), n_max)
 
 
 def fdpb_numbers(k: int, n_max: int, lam: RatLike) -> tuple[list[int], int]:
-    """The numbers of :func:`fdpb_rows` at a rational lam = p/q, as numerators
-    U_n over one den: beta_n^(k) = U_n / (den q^n)."""
-    return _transform_numbers(_kaneko_row(k, n_max), n_max, lam)
+    """The numbers beta_0^(k) .. beta_(n_max)^(k) at a constant lam = p/q, as
+    numerators U_n over one den: beta_n^(k) = U_n / (den q^n).  At lam = 0
+    they are Kaneko's numbers."""
+    nums, den = _kaneko_row(k, n_max)
+    return _stirling_transform(nums[: n_max + 1], lam.numerator, lam.denominator), den
 
 
-def daehee_rows(n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
-    """The Daehee-type numbers at lam, n = 0..n_max, in one sweep; at lam = 0
-    they are the Bernoulli numbers."""
-    return _transform_rows(_bernoulli_row(n_max), n_max, lam)
+def daehee_rows(n_max: int) -> list[BiPoly]:
+    """The Daehee-type numbers in L, n = 0..n_max, in one sweep."""
+    return _transform_rows(_bernoulli_row(n_max), n_max)
 
 
 def daehee_numbers(n_max: int, lam: RatLike) -> tuple[list[int], int]:
-    """The numbers of :func:`daehee_rows` at a rational lam = p/q, as numerators
-    U_n over one den: row n is U_n / (den q^n)."""
-    return _transform_numbers(_bernoulli_row(n_max), n_max, lam)
+    """The Daehee-type numbers at a constant lam = p/q, n = 0..n_max, as
+    numerators U_n over one den: row n is U_n / (den q^n).  At lam = 0 they
+    are the Bernoulli numbers."""
+    nums, den = _bernoulli_row(n_max)
+    return _stirling_transform(nums[: n_max + 1], lam.numerator, lam.denominator), den
 
 
-def _carlitz_parts(n_max: int) -> tuple[list[int], list[int], int, int]:
+def _carlitz_parts(n_max: int, at_zero: bool = False) -> tuple[list[int], list[int], int, int]:
     """The two rows that Carlitz's numbers are made of, n = 0..n_max.
 
     Row n is lam^n b_n + n T_(n-1), from the weights of :func:`_carlitz_row`:
     T is the Stirling transform of c_m = B_(m+1)/(m+1) at lam, and b_n, the
     Bernoulli number of the second kind, that of 1/(m+1) at lam = 1.  Over
     top = lcm(1..n_max+1) and the Bernoulli numbers' D, they are the
-    numerators top b_n and D top c_m: (second, inner, D, top).
+    numerators top b_n and D top c_m: (second, inner, D, top).  At lam = 0
+    the factor lam^n leaves b_0 = 1 alone, so second is not built.
     """
     nums, den = _bernoulli_row(n_max)
     top = lcm(*range(1, n_max + 2))
-    second = _stirling_transform([top // (m + 1) for m in range(n_max + 1)], 1, 1)
+    second = [top] + [0] * n_max if at_zero else _stirling_transform(
+        [top // (m + 1) for m in range(n_max + 1)], 1, 1)
     return second, [nums[m + 1] * (top // (m + 1)) for m in range(n_max)], den, top
 
 
 def carlitz_numbers(n_max: int, lam: RatLike) -> tuple[list[int], int]:
-    """Carlitz's numbers at a rational lam = p/q, n = 0..n_max, as numerators
+    """Carlitz's numbers at a constant lam = p/q, n = 0..n_max, as numerators
     V_n over D top: beta_n = V_n / (D top q^n).
 
     With U the numerators of T, over D top, row n of :func:`_carlitz_parts`
     is D top q^n beta_n = D p^n (top b_n) + n q U_(n-1).
     """
-    second, inner, den, top = _carlitz_parts(n_max)
     p, q = lam.numerator, lam.denominator
+    second, inner, den, top = _carlitz_parts(n_max, not p)
     u = [0] + _stirling_transform(inner, p, q)
     return [den * p**n * b + n * q * a for n, (b, a) in enumerate(zip(second, u))], den * top
 
 
-def carlitz_rows(n_max: int, lam: ArgLike = LAM) -> list[BiPoly]:
-    """Carlitz's numbers at lam, n = 0..n_max, in one sweep: at a rational lam
-    from :func:`carlitz_numbers`, at a single term such as L as lam^n b_n +
+def carlitz_rows(n_max: int) -> list[BiPoly]:
+    """Carlitz's numbers in L, n = 0..n_max, in one sweep, as L^n b_n +
     n T_(n-1) (:func:`_carlitz_parts`)."""
-    lam = _coerce(lam)
-    if lam.is_constant():
-        return _constant_rows(carlitz_numbers(n_max, lam.constant()), lam.constant())
     second, inner, den, top = _carlitz_parts(n_max)
-    tail = [ZERO] + _transform_rows((inner, den * top), n_max - 1, lam)
-    keys, scale, lam_den = _term_powers(lam, n_max)
-    return [BiPoly._make({keys[n]: scale[n] * second[n]}, top * lam_den) + tail[n] * n
-            for n in range(n_max + 1)]
+    tail = [ZERO] + _transform_rows((inner, den * top), n_max - 1)
+    return [BiPoly._make({n: b}, top) + tail[n] * n for n, b in enumerate(second)]
+
+
+def _times_y_minus(acc: list[int], c: int) -> list[int]:
+    """The coefficients of (y - c) times the polynomial with coefficients acc;
+    at c = 0 a plain shift."""
+    if not c:
+        return [0, *acc]
+    return [a - c * b for a, b in zip([0, *acc], [*acc, 0])]
 
 
 def falling_poly(numbers: tuple[list[int], int], lam: RatLike) -> BiPoly:
     """sum_i C(n, i) beta_(n-i) (x|lam)_i, the degree-n polynomial of a family
-    whose numbers at a rational lam = p/q are numbers = (U_0 .. U_n, D), with
+    whose numbers at a constant lam = p/q are numbers = (U_0 .. U_n, D), with
     beta_j = U_j / (D q^j).
 
     Each family is an argument-free quotient times (1 + lam t)^(x/lam), so
-    its polynomial has this falling-factorial (Sheffer) form (Roman, The
+    its polynomial has this falling-factorial (Sheffer) form at every lam,
+    0 included, where it is the Appell sum over the numbers (Roman, The
     Umbral Calculus, 1984, ch. 2).  Horner's rule in integers, Q_n = U_0 and
     Q_i = C(n, i) U_(n-i) + (q x - i p) Q_(i+1), gives Q_0 = D q^n beta_n(x):
     n steps, each one list of integer coefficients, with no S1 row.  The
-    sweep runs in y = q x, where each step multiplies by y - i p alone, and
-    the coefficient of y^j becomes that of x^j times q^j at the end.
+    sweep runs in y = q x, where each step multiplies by y - i p alone, a
+    shift wherever i p = 0, and the coefficient of y^j becomes that of x^j
+    times q^j at the end.
     """
     u, den = numbers
     p, q = lam.numerator, lam.denominator
     n = len(u) - 1
-    acc = [u[0]]
+    acc, binom = [u[0]], 1
     for i in range(n - 1, -1, -1):
-        ip = i * p
-        acc = [a - ip * b for a, b in zip([0, *acc], [*acc, 0])]
-        acc[0] += comb(n, i) * u[n - i]
+        binom = binom * (i + 1) // (n - i)  # C(n, i) from C(n, i + 1)
+        acc = _times_y_minus(acc, i * p)
+        acc[0] += binom * u[n - i]
     return BiPoly._make({_key(0, j): c * q**j for j, c in enumerate(acc)}, den * q**n)
 
 

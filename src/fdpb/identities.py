@@ -145,19 +145,21 @@ def _cells_thm3(n_max: int, ks: range) -> Iterator[Cell]:
 def _cells_thm4(n_max: int, ks: range) -> Iterator[Cell]:
     # each family's closed sum, and its table rows at L, against its generating
     # function: fdpb as numbers in L, the other four as polynomials in x (and
-    # L); the two classical ones are the fdpb and Daehee closed sums at lam = 0
+    # L); the two classical ones are the fdpb and Daehee polynomials at
+    # lam = 0, the Horner sweep over their numbers that the CLI reads
     for k in ks:
         rows = fam.fdpb_rows(k, n_max)
         for n in range(n_max + 1):
             gf = fam.fdpb_gf(n, k)
             yield n, k, gf, fam.fdpb_closed(n, k)
-            yield n, k, fam.classical_poly_bernoulli(n, k, X), fam.fdpb_value(n, k, X, 0)
+            sweep = fam.falling_poly(fam.fdpb_numbers(k, n, 0), 0)
+            yield n, k, fam.classical_poly_bernoulli(n, k, X), sweep
             yield n, k, gf, rows[n]
     carlitz, daehee = fam.carlitz_rows(n_max), fam.daehee_rows(n_max)
     for n in range(n_max + 1):
         yield n, None, fam.carlitz_beta(n, X), fam.carlitz_value(n, X)
         yield n, None, fam.daehee_type_b(n, X), fam.daehee_value(n, X)
-        yield n, None, fam.bernoulli_poly(n), fam.daehee_value(n, X, 0)
+        yield n, None, fam.bernoulli_poly(n), fam.falling_poly(fam.daehee_numbers(n, 0), 0)
         yield n, None, fam.carlitz_beta(n), carlitz[n]
         yield n, None, fam.daehee_type_b(n), daehee[n]
 

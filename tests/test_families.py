@@ -7,15 +7,18 @@ from fdpb.ring import LAM, ONE, X, ZERO, BiPoly
 from fdpb.families import (
     bernoulli_poly,
     carlitz_beta,
+    carlitz_numbers,
     carlitz_rows,
     carlitz_value,
     classical_poly_bernoulli,
+    daehee_numbers,
     daehee_rows,
     daehee_type_b,
     daehee_value,
     fdpb_closed,
     fdpb_gf,
     fdpb_iterated_integral,
+    fdpb_numbers,
     fdpb_poly,
     fdpb_rows,
     fdpb_value,
@@ -90,12 +93,19 @@ class TestClosedSums:
             value(*args, 0, lam=LAM + 1)
 
     @pytest.mark.parametrize("read, args", [
-        # the closed sums and the table rows, at each lambda: Kaneko's row checks n
+        # the closed sums at each lambda: Kaneko's row checks n
         *(pytest.param(read, (*args, lam), id=f"{read.__name__}-{name}")
           for read, args in (
-              (carlitz_value, (-1, 0)), (daehee_value, (-1, 0)), (fdpb_value, (-1, 2, 0)),
-              (fdpb_rows, (2, -1)), (daehee_rows, (-1,)), (carlitz_rows, (-1,)))
+              (carlitz_value, (-1, 0)), (daehee_value, (-1, 0)), (fdpb_value, (-1, 2, 0)))
           for lam, name in ((LAM, "L"), (0, "0"), (HALF, "1/2"))),
+        # a table's rows, each id named for the table: in L by its rows
+        # reader, at a constant lambda by its numbers reader
+        *(pytest.param(read, (*args, *lam), id=f"{rows.__name__}-{name}")
+          for rows, numbers, args in (
+              (fdpb_rows, fdpb_numbers, (2, -1)), (daehee_rows, daehee_numbers, (-1,)),
+              (carlitz_rows, carlitz_numbers, (-1,)))
+          for read, lam, name in (
+              (rows, (), "L"), (numbers, (0,), "0"), (numbers, (HALF,), "1/2"))),
         # the generating functions: fps.longest checks n
         *(pytest.param(read, args, id=read.__name__) for read, args in (
             (carlitz_beta, (-2,)), (bernoulli_poly, (-1,)), (daehee_type_b, (-1,)),

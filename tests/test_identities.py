@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,23 @@ def _perturbed_row(row_of, l, change):
     return perturbed
 
 
+def _perturbed_sweep(numbers):
+    """families.falling_poly, plus one where it sweeps at lam = 0 over
+    numbers of the same values as the given ones, over any denominator."""
+    sweep = fam.falling_poly
+
+    def values(nums):
+        return [Fraction(a, nums[1]) for a in nums[0]]
+
+    target = values(numbers)
+
+    def perturbed(nums, lam):
+        poly = sweep(nums, lam)
+        return poly + ONE if lam == 0 and values(nums) == target else poly
+
+    return perturbed
+
+
 def _perturbed_quotient(build, key, coefficient):
     """build, with one added to the given coefficient of its series at key."""
 
@@ -221,8 +239,9 @@ class TestPerturbationIsCaught:
 
     def test_carlitz_quotient_at_zero(self, patch_carlitz):
         # Carlitz's quotient at lam = 0 is t/(e^t - 1): THM4 compares B_n(x)
-        # with Daehee's closed sum over Kaneko's k = 1 row, EQ14 with the
-        # classical polylogarithm quotient; carlitz_beta, at L, does not move
+        # with the sweep over Daehee's numbers at 0, Kaneko's k = 1 row, EQ14
+        # with the classical polylogarithm quotient; carlitz_beta, at L, does
+        # not move
         patch_carlitz(ZERO, 3)
         report = check("THM4_CLOSED", n_max=5, k_range=(1, 1))
         assert not report.passed
@@ -244,12 +263,21 @@ class TestPerturbationIsCaught:
         assert ce.rhs == fam.carlitz_value(3, X)
 
     def test_poly_bernoulli_value(self, monkeypatch):
-        # THM4 compares the classical closed sum, fdpb's at lam = 0, with its
-        # series, polynomial in x
-        monkeypatch.setattr(fam, "fdpb_value", _perturbed(fam.fdpb_value, (4, -2, X, 0)))
+        # THM4 compares the classical polynomial, the sweep over fdpb's
+        # numbers at lam = 0 that the CLI reads, with its series, in x
+        monkeypatch.setattr(fam, "falling_poly", _perturbed_sweep(fam.fdpb_numbers(-2, 4, 0)))
         report = check("THM4_CLOSED", n_max=6, k_range=(-3, 2))
         assert not report.passed
         assert (report.counterexample.n, report.counterexample.k) == (4, -2)
+
+    def test_bernoulli_value(self, monkeypatch):
+        # and B_n(x), the sweep over Daehee's numbers at lam = 0, with its series
+        monkeypatch.setattr(fam, "falling_poly", _perturbed_sweep(fam.daehee_numbers(3, 0)))
+        report = check("THM4_CLOSED", n_max=5, k_range=(-1, 1))
+        assert not report.passed
+        ce = report.counterexample
+        assert (ce.n, ce.k) == (3, None)
+        assert ce.lhs == fam.bernoulli_poly(3) and ce.rhs == ce.lhs + ONE
 
     def test_addition(self, monkeypatch):
         monkeypatch.setattr(fam, "fdpb_poly", _perturbed(fam.fdpb_poly, (5, 1)))
@@ -309,14 +337,13 @@ class TestPerturbationIsCaught:
         assert not ce.rhs.is_lambda_free()
 
     def test_table_rows_at_l(self, monkeypatch):
-        # THM4 reads the CLI's table rows at L: a symbolic branch of
-        # _transform_rows whose row 3 is off by L fails the fdpb row cell of
-        # n = 3, placed after the closed-sum cells of that n
+        # THM4 reads the CLI's table rows at L: a _transform_rows whose row 3
+        # is off by L fails the fdpb row cell of n = 3, placed after the
+        # closed-sum cells of that n
         original = fam._transform_rows
 
-        def perturbed(row, n_max, lam):
-            rows = original(row, n_max, lam)
-            return [r + LAM if (n, lam) == (3, LAM) else r for n, r in enumerate(rows)]
+        def perturbed(row, n_max):
+            return [r + LAM if n == 3 else r for n, r in enumerate(original(row, n_max))]
 
         monkeypatch.setattr(fam, "_transform_rows", perturbed)
         report = check("THM4_CLOSED", n_max=5, k_range=(-1, 1))
